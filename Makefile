@@ -1,15 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity profile cover
+.PHONY: check build vet test race gate-tests chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity profile cover
 
 # Tier-1 verification gate: build + vet + race-enabled tests (which
 # include the chaos self-test exercising every failure-containment path),
-# a short fuzz smoke over every fuzz target, and a one-shot benchmark
-# sanity pass. The campaign runner executes experiments on a worker pool,
-# so the race detector is part of the default gate, not an optional
-# extra; the bench sanity run keeps the perf harness compiling and
-# executable without paying for a full measurement.
-check: build vet race chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke cover bench-sanity
+# a check that every named gate test still exists, a short fuzz smoke
+# over every fuzz target, and a one-shot benchmark sanity pass. The
+# campaign runner executes experiments on a worker pool, so the race
+# detector is part of the default gate, not an optional extra; the bench
+# sanity run keeps the perf harness compiling and executable without
+# paying for a full measurement. This target is the single definition of
+# the gate: scripts/check.sh and CI both run it.
+check: build vet race gate-tests chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke cover bench-sanity
 
 build:
 	$(GO) build ./...
@@ -22,6 +24,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every test name in the -race -run patterns below must exist: `go test
+# -run` passes silently when a pattern matches nothing, so a renamed gate
+# test would otherwise drop out of its gate unnoticed.
+gate-tests:
+	GO="$(GO)" scripts/gate-tests.sh
 
 # The chaos self-test by name, under the race detector: 200 experiments
 # with deterministically scheduled panics, hangs and NaN corruption must
@@ -57,9 +65,10 @@ obs-equiv:
 
 # The registry-equivalence self-test by name, under the race detector:
 # campaigns resolved through the attack registry (by name) must emit
-# result CSVs byte-identical to the legacy kind/factory paths — healthy
-# and with chaos-injected failures — and matrix execution must stay
-# deterministic across sequential, parallel and sharded runs.
+# result CSVs byte-identical to a factory replicating the pre-registry
+# models — healthy and with chaos-injected failures — and matrix
+# execution must stay deterministic across sequential, parallel and
+# sharded runs.
 registry-equiv:
 	$(GO) test -race -run 'TestRegistryCampaignEquivalence|TestRegistryChaosEquivalence|TestRunMatrixDeterminism' ./internal/runner
 

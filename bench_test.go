@@ -107,7 +107,7 @@ func BenchmarkFig5DurationSweep(b *testing.B) {
 		8 * des.Second, 16 * des.Second, 30 * des.Second,
 	} {
 		specs = append(specs, core.ExperimentSpec{
-			Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+			Attack: "delay", Targets: []string{"vehicle.2"},
 			Value: 2.0, Start: 18 * des.Second, Duration: d,
 		})
 	}
@@ -123,7 +123,7 @@ func BenchmarkFig6PDSweep(b *testing.B) {
 	var specs []core.ExperimentSpec
 	for _, pd := range []float64{0.2, 0.8, 1.4, 2.2, 3.0} {
 		specs = append(specs, core.ExperimentSpec{
-			Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+			Attack: "delay", Targets: []string{"vehicle.2"},
 			Value: pd, Start: 18 * des.Second, Duration: 10 * des.Second,
 		})
 	}
@@ -142,12 +142,27 @@ func BenchmarkFig7StartTimeSweep(b *testing.B) {
 		19800 * des.Millisecond, 20600 * des.Millisecond, 21400 * des.Millisecond,
 	} {
 		specs = append(specs, core.ExperimentSpec{
-			Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+			Attack: "delay", Targets: []string{"vehicle.2"},
 			Value: 2.0, Start: s, Duration: 10 * des.Second,
 		})
 	}
 	b.ResetTimer()
 	runSweep(b, eng, specs)
+}
+
+// runCampaign executes setup through the production campaign runner
+// (default options: all cores, checkpoint trie on).
+func runCampaign(b *testing.B, eng *core.Engine, setup core.CampaignSetup) *core.CampaignResult {
+	b.Helper()
+	r, err := runner.New(eng, runner.Options{})
+	if err != nil {
+		b.Fatalf("runner.New: %v", err)
+	}
+	res, err := r.Run(context.Background(), setup)
+	if err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+	return res
 }
 
 // BenchmarkTableDelayCampaign runs the representative reduced delay grid
@@ -160,10 +175,7 @@ func BenchmarkTableDelayCampaign(b *testing.B) {
 	b.ResetTimer()
 	var counts classify.Counts
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunCampaign(setup, nil)
-		if err != nil {
-			b.Fatalf("RunCampaign: %v", err)
-		}
+		res := runCampaign(b, eng, setup)
 		counts = res.Counts
 	}
 	b.ReportMetric(float64(counts.Severe), "severe")
@@ -182,10 +194,7 @@ func BenchmarkTableDoSCampaign(b *testing.B) {
 	var counts classify.Counts
 	colliders := map[string]int{}
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunCampaign(setup, nil)
-		if err != nil {
-			b.Fatalf("RunCampaign: %v", err)
-		}
+		res := runCampaign(b, eng, setup)
 		counts = res.Counts
 		colliders = map[string]int{}
 		for _, e := range res.Experiments {
@@ -204,7 +213,7 @@ func BenchmarkTableDoSCampaign(b *testing.B) {
 // Ploeg vs ACC) under the same delay attack — the DESIGN.md A1 ablation.
 func BenchmarkAblationControllers(b *testing.B) {
 	spec := core.ExperimentSpec{
-		Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+		Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 2.0, Start: 18 * des.Second, Duration: 10 * des.Second,
 	}
 	for _, c := range []struct {
@@ -318,10 +327,7 @@ func BenchmarkAblationAEB(b *testing.B) {
 			b.ResetTimer()
 			var collisions, severe int
 			for i := 0; i < b.N; i++ {
-				res, err := eng.RunCampaign(setup, nil)
-				if err != nil {
-					b.Fatalf("RunCampaign: %v", err)
-				}
+				res := runCampaign(b, eng, setup)
 				collisions, severe = 0, res.Counts.Severe
 				for _, e := range res.Experiments {
 					if e.Collided() {
@@ -386,7 +392,7 @@ func BenchmarkKernelThroughput(b *testing.B) {
 func BenchmarkExperiment(b *testing.B) {
 	eng := newEngine(b, core.EngineConfig{})
 	spec := core.ExperimentSpec{
-		Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+		Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 1.4, Start: 19 * des.Second, Duration: 7 * des.Second,
 	}
 	b.ResetTimer()
@@ -405,7 +411,7 @@ func BenchmarkExperiment(b *testing.B) {
 // skips for every sibling after the first.
 func BenchmarkExperimentCheckpointed(b *testing.B) {
 	spec := core.ExperimentSpec{
-		Kind: core.AttackDelay, Targets: []string{"vehicle.2"},
+		Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 1.4, Start: 19 * des.Second, Duration: 7 * des.Second,
 	}
 	b.Run("fresh", func(b *testing.B) {
@@ -453,7 +459,7 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 	// prefix share.
 	ts.TotalSimTime = 47 * des.Second
 	grid := core.CampaignSetup{
-		Attack:  core.AttackDelay,
+		Attack:  "delay",
 		Targets: []string{"vehicle.2"},
 		Values:  []float64{0.4, 2.0},
 		Durations: []des.Time{
@@ -530,7 +536,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // determinism is caught here too.
 func BenchmarkCampaignParallel(b *testing.B) {
 	grid := core.CampaignSetup{
-		Attack:    core.AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{0.4, 2.0},
 		Starts:    []des.Time{17 * des.Second, 19 * des.Second, 21 * des.Second},

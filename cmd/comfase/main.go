@@ -852,20 +852,26 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
 	}
 
-	coord, err := fabric.NewCoordinator(fabric.CoordinatorOptions{
+	svc, err := fabric.NewService(fabric.ServiceOptions{
+		LeaseSize:      size,
+		LeaseTTL:       ttl,
+		FinishWhenDone: true,
+		Metrics:        reg,
+		Logf:           logf,
+	})
+	if err != nil {
+		return err
+	}
+	id, err := svc.AddCampaign(fabric.CampaignSpec{
 		ConfigJSON:   cfgJSON,
 		Base:         base,
 		Total:        total,
 		Matrix:       matrixMode,
-		LeaseSize:    size,
-		LeaseTTL:     ttl,
+		MaxFailures:  budget,
+		ResumePrefix: prefix,
 		Results:      resultsFile,
 		NoHeader:     appendMode,
 		Quarantine:   quarantineOut,
-		ResumePrefix: prefix,
-		MaxFailures:  budget,
-		Metrics:      reg,
-		Logf:         logf,
 	})
 	if err != nil {
 		return err
@@ -874,28 +880,29 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("serve: listen: %w", err)
 	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
+	httpSrv := &http.Server{Handler: svc.Handler()}
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	fmt.Fprintf(stdout, "fabric coordinator on http://%s: %d grid points (%d resumed), lease TTL %v\n",
 		ln.Addr(), total, prefix, ttlOrDefault(ttl))
 	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
 
-	err = coord.Wait(ctx)
+	err = svc.Wait(ctx)
 	// Keep the socket up until live workers have been told the run is
 	// over (bounded by one TTL); killing it mid-poll would make a clean
 	// finish look like a dead coordinator on their side.
-	coord.Linger()
+	svc.Linger()
+	st, _ := svc.CampaignStatusByID(id)
 	switch {
 	case errors.Is(err, fabric.ErrDrained):
 		fmt.Fprintf(stdout, "campaign drained: %d/%d grid points merged to %s; continue with -resume\n",
-			coord.Merged(), total, *resultsPath)
+			st.Merged, total, *resultsPath)
 		return errInterrupted
 	case err != nil:
 		return err
 	}
 	fmt.Fprintf(stdout, "campaign complete: %d grid points merged to %s (%d quarantined)\n",
-		coord.Merged(), *resultsPath, coord.Failures())
+		st.Merged, *resultsPath, st.Failures)
 	return nil
 }
 

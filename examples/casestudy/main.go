@@ -37,7 +37,7 @@ func run() error {
 	fmt.Printf("golden run: max deceleration %.2f m/s^2\n", golden.MaxDecel)
 
 	spec := core.ExperimentSpec{
-		Kind:     core.AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    2.0,
 		Start:    18 * des.Second,

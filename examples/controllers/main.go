@@ -35,7 +35,7 @@ func run() error {
 	// The probe attack: 2 s delay on Vehicle 2 during the deceleration
 	// phase, a reliably severe case for the paper's CACC platoon.
 	spec := core.ExperimentSpec{
-		Kind:     core.AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    2.0,
 		Start:    18 * des.Second,

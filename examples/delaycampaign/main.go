@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/runner"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
 )
@@ -35,7 +37,7 @@ func run() error {
 	// grid is 25 starts x 15 PD values x 30 durations = 11250, available
 	// via cmd/comfase-figures).
 	setup := core.CampaignSetup{
-		Attack:  core.AttackDelay,
+		Attack:  "delay",
 		Targets: []string{"vehicle.2"},
 		Values:  []float64{0.2, 0.8, 1.4, 2.2, 3.0},
 		Starts: []des.Time{
@@ -52,7 +54,11 @@ func run() error {
 	}
 
 	fmt.Printf("running %d delay-attack experiments...\n", setup.NumExperiments())
-	res, err := eng.RunCampaign(setup, nil)
+	r, err := runner.New(eng, runner.Options{})
+	if err != nil {
+		return err
+	}
+	res, err := r.Run(context.Background(), setup)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 func cellExp(scenarioLabel, attack string, o classify.Outcome) core.ExperimentResult {
 	r := exp(17*des.Second, 1, des.Second, o, "")
 	r.Spec.Scenario = scenarioLabel
-	r.Spec.Kind = 0
 	r.Spec.Attack = attack
 	return r
 }

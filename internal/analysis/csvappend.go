@@ -97,7 +97,7 @@ func AppendMatrixCSVRow(buf []byte, e core.ExperimentResult) []byte {
 // appendExperimentTail appends the columns shared by both schemas,
 // starting at the attack label.
 func appendExperimentTail(buf []byte, e core.ExperimentResult) []byte {
-	buf = appendCSVField(buf, e.Spec.AttackLabel())
+	buf = appendCSVField(buf, e.Spec.Attack)
 	buf = append(buf, ',')
 	buf = strconv.AppendFloat(buf, e.Spec.Value, 'g', -1, 64)
 	buf = append(buf, ',')

@@ -16,7 +16,7 @@ import (
 // plus adversarial strings that force every encoding/csv quoting rule.
 var appendRowCases = []core.ExperimentResult{
 	{
-		Spec:    core.ExperimentSpec{Nr: 1, Kind: core.AttackDelay, Value: 0.5, Start: 20 * des.Second, Duration: 5 * des.Second},
+		Spec:    core.ExperimentSpec{Nr: 1, Attack: "delay", Value: 0.5, Start: 20 * des.Second, Duration: 5 * des.Second},
 		Outcome: classify.NonEffective, MaxDecel: 1.2345, MaxSpeedDev: 0.5,
 	},
 	{

@@ -12,7 +12,7 @@ import (
 
 func expWithDecel(d float64) core.ExperimentResult {
 	return core.ExperimentResult{
-		Spec:     core.ExperimentSpec{Kind: core.AttackDelay, Value: 1, Start: des.Second, Duration: des.Second},
+		Spec:     core.ExperimentSpec{Attack: "delay", Value: 1, Start: des.Second, Duration: des.Second},
 		Outcome:  classify.Benign,
 		MaxDecel: d,
 	}

@@ -316,9 +316,9 @@ type CampaignConfig struct {
 }
 
 // Build expands the vectors into a CampaignSetup. The attack name
-// resolves against the attack registry, so every registered family —
-// not just the enum kinds — is reachable, and unknown names carry the
-// registry's accepted-names list with a nearest-match suggestion.
+// resolves against the attack registry, so every registered family is
+// reachable, and unknown names carry the registry's accepted-names list
+// with a nearest-match suggestion.
 func (c CampaignConfig) Build() (core.CampaignSetup, error) {
 	name := c.Attack
 	if name == "" {
@@ -345,11 +345,10 @@ func (c CampaignConfig) Build() (core.CampaignSetup, error) {
 		return core.CampaignSetup{}, fmt.Errorf("durations: %w", err)
 	}
 	setup := core.CampaignSetup{
-		Attack:     entry.Kind,
-		AttackName: entry.Name,
-		Params:     param.Params(c.Params),
-		Targets:    targets,
-		Values:     values,
+		Attack:  entry.Name,
+		Params:  param.Params(c.Params),
+		Targets: targets,
+		Values:  values,
 	}
 	for _, s := range starts {
 		setup.Starts = append(setup.Starts, des.FromSeconds(s))

@@ -27,12 +27,8 @@ type AttackContext struct {
 // AttackEntry is one registered attack/fault family.
 type AttackEntry struct {
 	// Name is the registry key; it is also the label written to result
-	// CSVs for experiments addressed by name.
+	// CSVs and quarantine records.
 	Name string
-	// Kind is the legacy enum value for the families that predate the
-	// registry (zero for registry-only families). ParseAttackKind and
-	// the AttackKind-based CampaignSetup API resolve through it.
-	Kind AttackKind
 	// Desc is a one-line description for `comfase list`.
 	Desc string
 	// ValueDoc documents the meaning of the swept Value.
@@ -74,7 +70,6 @@ func AttackNames() []string { return attacks.Names() }
 func init() {
 	RegisterAttack(AttackEntry{
 		Name:     "delay",
-		Kind:     AttackDelay,
 		Desc:     "delay attack: beacons from the target arrive PD seconds late",
 		ValueDoc: "propagation delay PD in seconds",
 		Build: func(ctx AttackContext) (AttackModel, error) {
@@ -83,7 +78,6 @@ func init() {
 	})
 	RegisterAttack(AttackEntry{
 		Name:     "dos",
-		Kind:     AttackDoS,
 		Desc:     "denial of service: beacons from the target never arrive",
 		ValueDoc: "nominal PD in seconds (pinned to the horizon)",
 		Build: func(ctx AttackContext) (AttackModel, error) {
@@ -92,7 +86,6 @@ func init() {
 	})
 	RegisterAttack(AttackEntry{
 		Name:     "packet-loss",
-		Kind:     AttackPacketLoss,
 		Desc:     "random packet loss on frames involving the target",
 		ValueDoc: "drop probability in [0,1]",
 		Build: func(ctx AttackContext) (AttackModel, error) {
@@ -104,7 +97,6 @@ func init() {
 	})
 	RegisterAttack(AttackEntry{
 		Name:     "replay",
-		Kind:     AttackReplay,
 		Desc:     "replay attack: frames from the target are re-delivered aged",
 		ValueDoc: "replay age in seconds",
 		Build: func(ctx AttackContext) (AttackModel, error) {
@@ -113,7 +105,6 @@ func init() {
 	})
 	RegisterAttack(AttackEntry{
 		Name:                "jamming",
-		Kind:                AttackJamming,
 		Desc:                "RF jammer shadowing the first target vehicle",
 		ValueDoc:            "jammer transmit power in dBm (may be negative)",
 		AllowNegativeValues: true,

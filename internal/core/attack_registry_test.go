@@ -8,36 +8,21 @@ import (
 	"comfase/internal/sim/des"
 )
 
-// TestAttackRegistryCoversAllKinds: every AttackKind the legacy enum
-// names must be resolvable by its String() through the registry, and
-// resolve back to the same kind.
+// TestAttackRegistryCoversAllKinds: the paper's five attack models and
+// the registry-only extension families must all resolve by name to an
+// entry with a builder whose Name is the registry key.
 func TestAttackRegistryCoversAllKinds(t *testing.T) {
-	kinds := []AttackKind{
-		AttackDelay, AttackDoS, AttackPacketLoss, AttackReplay, AttackJamming,
-	}
-	for _, k := range kinds {
-		entry, err := LookupAttack(k.String())
-		if err != nil {
-			t.Errorf("LookupAttack(%q): %v", k.String(), err)
-			continue
-		}
-		if entry.Kind != k {
-			t.Errorf("entry %q resolves to kind %v, want %v", k.String(), entry.Kind, k)
-		}
-		if entry.Build == nil {
-			t.Errorf("entry %q has no builder", k.String())
-		}
-	}
-	// The registry-only families have no enum kind — they are reachable
-	// by name alone.
-	for _, name := range []string{"falsification", "sybil", "omission", "corruption", "calibration"} {
+	for _, name := range []string{
+		"delay", "dos", "packet-loss", "replay", "jamming",
+		"falsification", "sybil", "omission", "corruption", "calibration",
+	} {
 		entry, err := LookupAttack(name)
 		if err != nil {
 			t.Errorf("LookupAttack(%q): %v", name, err)
 			continue
 		}
-		if entry.Kind != 0 {
-			t.Errorf("registry-only family %q carries enum kind %v", name, entry.Kind)
+		if entry.Name != name || entry.Build == nil {
+			t.Errorf("entry %q: name %q, builder set %v", name, entry.Name, entry.Build != nil)
 		}
 	}
 	if got := len(AttackNames()); got < 10 {
@@ -59,7 +44,6 @@ func buildCtx(t *testing.T, name string, value float64, p param.Params) AttackCo
 	return AttackContext{
 		Spec: ExperimentSpec{
 			Nr:       3,
-			Kind:     entry.Kind,
 			Attack:   name,
 			Targets:  []string{"vehicle.2"},
 			Value:    value,
@@ -133,7 +117,7 @@ func TestAttackSchemaBoundsRejected(t *testing.T) {
 	}
 	for _, c := range cases {
 		setup := base
-		setup.AttackName = c.attack
+		setup.Attack = c.attack
 		setup.Params = c.params
 		err := setup.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -147,11 +131,11 @@ func TestAttackSchemaBoundsRejected(t *testing.T) {
 // from the registry, with nearest-match help and the known-family list.
 func TestValidateUnknownAttackSuggestion(t *testing.T) {
 	setup := CampaignSetup{
-		AttackName: "dealy",
-		Targets:    []string{"vehicle.2"},
-		Values:     []float64{1},
-		Starts:     []des.Time{17 * des.Second},
-		Durations:  []des.Time{5 * des.Second},
+		Attack:    "dealy",
+		Targets:   []string{"vehicle.2"},
+		Values:    []float64{1},
+		Starts:    []des.Time{17 * des.Second},
+		Durations: []des.Time{5 * des.Second},
 	}
 	err := setup.Validate()
 	if err == nil || !strings.Contains(err.Error(), `did you mean "delay"`) {
@@ -159,26 +143,6 @@ func TestValidateUnknownAttackSuggestion(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dos") {
 		t.Errorf("Validate(dealy) = %v, want the known-family list", err)
-	}
-}
-
-// TestValidateNameKindConflict: naming one family while setting a
-// different enum kind is a contradiction, not a preference.
-func TestValidateNameKindConflict(t *testing.T) {
-	setup := CampaignSetup{
-		Attack:     AttackDoS,
-		AttackName: "delay",
-		Targets:    []string{"vehicle.2"},
-		Values:     []float64{1},
-		Starts:     []des.Time{17 * des.Second},
-		Durations:  []des.Time{5 * des.Second},
-	}
-	if err := setup.Validate(); err == nil || !strings.Contains(err.Error(), "conflicts") {
-		t.Errorf("Validate(kind=dos, name=delay) = %v, want conflict error", err)
-	}
-	setup.Attack = AttackDelay // agreeing pair is fine
-	if err := setup.Validate(); err != nil {
-		t.Errorf("Validate(kind=delay, name=delay): %v", err)
 	}
 }
 

@@ -71,10 +71,9 @@ func init() {
 		Desc: "Table II delay campaign: PD 0.2..3.0 s x 25 starts x 1..30 s (11250 experiments)",
 		Build: func() CampaignSetup {
 			setup := CampaignSetup{
-				Attack:     AttackDelay,
-				AttackName: "delay",
-				Targets:    paperTargets(),
-				Starts:     paperStartTimes(),
+				Attack:  "delay",
+				Targets: paperTargets(),
+				Starts:  paperStartTimes(),
 			}
 			for v := 1; v <= 15; v++ {
 				setup.Values = append(setup.Values, float64(v)*0.2)
@@ -90,12 +89,11 @@ func init() {
 		Desc: "Table II DoS campaign: 25 starts, attack active until the simulation ends",
 		Build: func() CampaignSetup {
 			return CampaignSetup{
-				Attack:     AttackDoS,
-				AttackName: "dos",
-				Targets:    paperTargets(),
-				Starts:     paperStartTimes(),
-				Values:     []float64{60},
-				Durations:  []des.Time{60 * des.Second},
+				Attack:    "dos",
+				Targets:   paperTargets(),
+				Starts:    paperStartTimes(),
+				Values:    []float64{60},
+				Durations: []des.Time{60 * des.Second},
 			}
 		},
 	})

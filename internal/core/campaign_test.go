@@ -6,32 +6,9 @@ import (
 	"comfase/internal/sim/des"
 )
 
-func TestAttackKindStringValid(t *testing.T) {
-	tests := []struct {
-		k    AttackKind
-		want string
-	}{
-		{k: AttackDelay, want: "delay"},
-		{k: AttackDoS, want: "dos"},
-		{k: AttackPacketLoss, want: "packet-loss"},
-		{k: AttackReplay, want: "replay"},
-	}
-	for _, tt := range tests {
-		if tt.k.String() != tt.want || !tt.k.Valid() {
-			t.Errorf("%v: String=%q Valid=%v", tt.k, tt.k.String(), tt.k.Valid())
-		}
-	}
-	if AttackKind(0).Valid() || AttackKind(99).Valid() {
-		t.Error("invalid kinds accepted")
-	}
-	if AttackKind(99).String() == "" {
-		t.Error("empty String for unknown kind")
-	}
-}
-
 func validSetup() CampaignSetup {
 	return CampaignSetup{
-		Attack:    AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{1},
 		Starts:    []des.Time{17 * des.Second},
@@ -47,7 +24,8 @@ func TestCampaignSetupValidate(t *testing.T) {
 		name   string
 		mutate func(*CampaignSetup)
 	}{
-		{name: "bad kind", mutate: func(c *CampaignSetup) { c.Attack = 0 }},
+		{name: "bad kind", mutate: func(c *CampaignSetup) { c.Attack = "no-such-attack" }},
+		{name: "no attack", mutate: func(c *CampaignSetup) { c.Attack = "" }},
 		{name: "no targets", mutate: func(c *CampaignSetup) { c.Targets = nil }},
 		{name: "no values", mutate: func(c *CampaignSetup) { c.Values = nil }},
 		{name: "no starts", mutate: func(c *CampaignSetup) { c.Starts = nil }},
@@ -111,7 +89,7 @@ func TestExperimentSpecEndClipsAtHorizon(t *testing.T) {
 }
 
 func TestExperimentSpecString(t *testing.T) {
-	e := ExperimentSpec{Nr: 3, Kind: AttackDelay, Targets: []string{"vehicle.2"},
+	e := ExperimentSpec{Nr: 3, Attack: "delay", Targets: []string{"vehicle.2"},
 		Value: 1.2, Start: 17 * des.Second, Duration: 5 * des.Second}
 	s := e.String()
 	for _, want := range []string{"#3", "delay", "1.2", "17s", "vehicle.2"} {
@@ -122,19 +100,21 @@ func TestExperimentSpecString(t *testing.T) {
 }
 
 func TestBuildModelPerKind(t *testing.T) {
-	for _, kind := range []AttackKind{AttackDelay, AttackDoS, AttackPacketLoss, AttackReplay} {
-		e := ExperimentSpec{Kind: kind, Targets: []string{"v2"}, Value: 0.5}
+	for _, name := range []string{"delay", "dos", "packet-loss", "replay"} {
+		e := ExperimentSpec{Attack: name, Targets: []string{"v2"}, Value: 0.5}
 		m, err := e.buildModel(60*des.Second, 1)
 		if err != nil {
-			t.Errorf("%v: %v", kind, err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if m.Name() != kind.String() {
-			t.Errorf("model name %q for kind %v", m.Name(), kind)
+		if m.Name() != name {
+			t.Errorf("model name %q for attack %q", m.Name(), name)
 		}
 	}
-	if _, err := (ExperimentSpec{Kind: 0, Targets: []string{"v"}}).buildModel(des.Second, 1); err == nil {
-		t.Error("unknown kind built")
+	for _, name := range []string{"", "no-such-attack"} {
+		if _, err := (ExperimentSpec{Attack: name, Targets: []string{"v"}}).buildModel(des.Second, 1); err == nil {
+			t.Errorf("attack %q built", name)
+		}
 	}
 }
 
@@ -172,8 +152,8 @@ func TestPaperDoSCampaignGrid(t *testing.T) {
 	if s.NumExperiments() != 25 {
 		t.Errorf("NumExperiments = %d, want 25", s.NumExperiments())
 	}
-	if s.Attack != AttackDoS {
-		t.Errorf("attack = %v", s.Attack)
+	if s.Attack != "dos" {
+		t.Errorf("attack = %q", s.Attack)
 	}
 	// DoS: active until the end of the simulation.
 	if s.Durations[0] != 60*des.Second {

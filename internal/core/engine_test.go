@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"comfase/internal/classify"
@@ -80,7 +83,7 @@ func TestRunExperimentDelayCausesSevere(t *testing.T) {
 	// A 2 s delay during the deceleration phase is reliably severe (cf.
 	// Fig. 6 saturation beyond 2.2 s).
 	res, err := eng.RunExperiment(ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    2.0,
 		Start:    18 * des.Second,
@@ -106,7 +109,7 @@ func TestRunExperimentDelayCausesSevere(t *testing.T) {
 func TestRunExperimentTinyDelayMild(t *testing.T) {
 	eng := paperEngine(t)
 	res, err := eng.RunExperiment(ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    0.2,
 		Start:    18 * des.Second,
@@ -125,7 +128,7 @@ func TestRunExperimentTinyDelayMild(t *testing.T) {
 
 func TestRunExperimentDeterministic(t *testing.T) {
 	spec := ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    1.4,
 		Start:    19 * des.Second,
@@ -149,7 +152,7 @@ func TestRunExperimentAttackWindowRespected(t *testing.T) {
 	eng := paperEngine(t)
 	// An attack scheduled entirely past the horizon must be a no-op.
 	res, err := eng.RunExperiment(ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    3,
 		Start:    70 * des.Second, // beyond the 60 s horizon
@@ -163,44 +166,135 @@ func TestRunExperimentAttackWindowRespected(t *testing.T) {
 	}
 }
 
+// runGrid executes every grid point of setup sequentially through
+// RunExperiment — the reference campaign loop for core tests, which
+// cannot import the runner.
+func runGrid(t *testing.T, eng *Engine, setup CampaignSetup) ([]ExperimentResult, classify.Counts) {
+	t.Helper()
+	if err := setup.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	var (
+		out    []ExperimentResult
+		counts classify.Counts
+	)
+	for _, spec := range setup.Experiments() {
+		res, err := eng.RunExperiment(spec)
+		if err != nil {
+			t.Fatalf("experiment %v: %v", spec, err)
+		}
+		out = append(out, res)
+		counts.Add(res.Outcome)
+	}
+	return out, counts
+}
+
 func TestRunCampaignSmallGrid(t *testing.T) {
 	eng := paperEngine(t)
 	setup := CampaignSetup{
-		Attack:    AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{0.2, 2.0},
 		Starts:    []des.Time{18 * des.Second, 198 * 100 * des.Millisecond},
 		Durations: []des.Time{1 * des.Second, 10 * des.Second},
 	}
-	var progress []int
-	res, err := eng.RunCampaign(setup, func(done, total int) {
-		progress = append(progress, done)
-		if total != 8 {
-			t.Errorf("total = %d, want 8", total)
-		}
-	})
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
-	}
-	if len(res.Experiments) != 8 || res.Counts.Total() != 8 {
-		t.Fatalf("experiments = %d counts = %v", len(res.Experiments), res.Counts)
-	}
-	if len(progress) != 8 || progress[7] != 8 {
-		t.Errorf("progress = %v", progress)
+	exps, counts := runGrid(t, eng, setup)
+	if len(exps) != 8 || counts.Total() != 8 {
+		t.Fatalf("experiments = %d counts = %v", len(exps), counts)
 	}
 	// The strong/long grid point must dominate the weak/short one.
-	if res.Counts.Severe == 0 {
+	if counts.Severe == 0 {
 		t.Error("no severe outcomes in mixed grid")
 	}
-	if res.Counts.Severe == 8 {
+	if counts.Severe == 8 {
 		t.Error("every outcome severe in mixed grid")
 	}
 }
 
-func TestRunCampaignRejectsInvalidSetup(t *testing.T) {
+// TestParallelMatchesSequential: experiments running concurrently on
+// one shared engine — the campaign runner's worker pool — must classify
+// exactly as the sequential loop does. The golden log and workspace
+// pool are shared across goroutines, so this also exercises them under
+// the race detector.
+func TestParallelMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 experiments in -short mode")
+	}
+	setup := CampaignSetup{
+		Attack:    "delay",
+		Targets:   []string{"vehicle.2"},
+		Values:    []float64{0.4, 2.0},
+		Starts:    []des.Time{17 * des.Second, 19800 * des.Millisecond, 21 * des.Second},
+		Durations: []des.Time{2 * des.Second, 10 * des.Second},
+	}
+	seq, _ := runGrid(t, paperEngine(t), setup)
+
 	eng := paperEngine(t)
-	if _, err := eng.RunCampaign(CampaignSetup{}, nil); err == nil {
-		t.Error("invalid setup accepted")
+	if err := eng.EnsureGolden(context.Background()); err != nil {
+		t.Fatalf("EnsureGolden: %v", err)
+	}
+	specs := setup.Experiments()
+	par := make([]ExperimentResult, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(specs); i += 4 {
+				par[i], errs[i] = eng.RunExperiment(specs[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range seq {
+		if errs[i] != nil {
+			t.Fatalf("experiment %v: %v", specs[i], errs[i])
+		}
+		a, b := seq[i], par[i]
+		if a.Outcome != b.Outcome || a.MaxDecel != b.MaxDecel || a.Collider != b.Collider {
+			t.Errorf("experiment %d diverged: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestParallelCtxCancelAborts: cancelling the context shared by
+// experiments running concurrently on one engine aborts each in-flight
+// simulation with context.Canceled instead of letting it finish — the
+// kernel's interrupt polling the campaign runner's cancellation relies
+// on.
+func TestParallelCtxCancelAborts(t *testing.T) {
+	eng := paperEngine(t)
+	if err := eng.EnsureGolden(context.Background()); err != nil {
+		t.Fatalf("EnsureGolden: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	setup := CampaignSetup{
+		Factory: func(spec ExperimentSpec, _ des.Time, _ uint64) (AttackModel, error) {
+			cancel()
+			return NewDelayAttack(des.FromSeconds(spec.Value), spec.Targets...)
+		},
+		Targets:   []string{"vehicle.2"},
+		Values:    []float64{0.4, 2.0},
+		Starts:    []des.Time{17 * des.Second, 21 * des.Second},
+		Durations: []des.Time{10 * des.Second},
+	}
+	specs := setup.Experiments()
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = eng.RunExperimentCtx(ctx, specs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("experiment %v = %v, want context.Canceled", specs[i], err)
+		}
 	}
 }
 
@@ -223,16 +317,13 @@ func TestAEBPreventsCollisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		res, err := eng.RunCampaign(PaperDoSCampaign(), nil)
-		if err != nil {
-			t.Fatalf("RunCampaign: %v", err)
-		}
-		for _, e := range res.Experiments {
+		exps, counts := runGrid(t, eng, PaperDoSCampaign())
+		for _, e := range exps {
 			if e.Collided() {
 				collisions++
 			}
 		}
-		return collisions, res.Counts
+		return collisions, counts
 	}
 	colWithout, _ := run(false)
 	colWith, countsWith := run(true)
@@ -259,18 +350,15 @@ func TestDoSCampaignShape(t *testing.T) {
 		t.Skip("full DoS campaign in -short mode")
 	}
 	eng := paperEngine(t)
-	res, err := eng.RunCampaign(PaperDoSCampaign(), nil)
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+	exps, counts := runGrid(t, eng, PaperDoSCampaign())
+	if counts.Total() != 25 {
+		t.Fatalf("total = %d", counts.Total())
 	}
-	if res.Counts.Total() != 25 {
-		t.Fatalf("total = %d", res.Counts.Total())
-	}
-	if res.Counts.Severe < 20 {
-		t.Errorf("severe = %d/25, want >= 20 (paper: 25/25)", res.Counts.Severe)
+	if counts.Severe < 20 {
+		t.Errorf("severe = %d/25, want >= 20 (paper: 25/25)", counts.Severe)
 	}
 	colliders := map[string]int{}
-	for _, e := range res.Experiments {
+	for _, e := range exps {
 		if e.Outcome == classify.Severe && !e.Collided() {
 			t.Errorf("severe without collision at start %v", e.Spec.Start)
 		}
@@ -286,7 +374,7 @@ func TestDoSCampaignShape(t *testing.T) {
 		t.Errorf("collider order %v, want V2, V3 >> V4 (paper: 48/40/12)", colliders)
 	}
 	// Paper banding: starts in 17.6-19.4 s -> Vehicle 3 responsible.
-	for _, e := range res.Experiments {
+	for _, e := range exps {
 		s := e.Spec.Start
 		if s >= 17600*des.Millisecond && s <= 19400*des.Millisecond &&
 			e.Collider != "" && e.Collider == "vehicle.2" {

@@ -165,7 +165,7 @@ type ExperimentFailure struct {
 func NewExperimentFailure(spec ExperimentSpec, err error, attempts int) ExperimentFailure {
 	f := ExperimentFailure{
 		Nr:        spec.Nr,
-		Attack:    spec.Kind.String(),
+		Attack:    spec.Attack,
 		Value:     spec.Value,
 		StartS:    spec.Start.Seconds(),
 		DurationS: spec.Duration.Seconds(),

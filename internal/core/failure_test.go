@@ -30,7 +30,7 @@ func fastEngine(t *testing.T, mut func(*EngineConfig)) *Engine {
 
 func fastSpec() ExperimentSpec {
 	return ExperimentSpec{
-		Kind:     AttackDelay,
+		Attack:   "delay",
 		Targets:  []string{"vehicle.2"},
 		Value:    0.2,
 		Start:    1 * des.Second,
@@ -170,6 +170,18 @@ func TestNewExperimentFailureRecord(t *testing.T) {
 	g := NewExperimentFailure(spec, errors.New("plain"), 1)
 	if g.Class != "error" || g.Stack != "" {
 		t.Errorf("plain record = %+v", g)
+	}
+}
+
+// TestExperimentFailureNamesRegistryFamily: a quarantine record names
+// the experiment's registry family, including the extension families
+// that only the registry knows by name.
+func TestExperimentFailureNamesRegistryFamily(t *testing.T) {
+	for _, name := range []string{"falsification", "sybil", "omission", "corruption", "calibration"} {
+		spec := ExperimentSpec{Nr: 1, Attack: name, Targets: []string{"vehicle.2"}, Value: 1}
+		if f := NewExperimentFailure(spec, errors.New("boom"), 1); f.Attack != name {
+			t.Errorf("quarantine record for %q says attack %q", name, f.Attack)
+		}
 	}
 }
 

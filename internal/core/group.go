@@ -125,7 +125,7 @@ func (e *Engine) acquireScratch() *groupScratch {
 // configurations (fading channel, custom stateful controllers) that can
 // never be checkpointed.
 func (e *Engine) BeginGroup(ctx context.Context, start des.Time) (*GroupSession, error) {
-	if err := e.ensureGolden(ctx); err != nil {
+	if err := e.EnsureGolden(ctx); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -311,7 +311,7 @@ func (gs *GroupSession) run(ctx context.Context, spec ExperimentSpec, chain, ret
 	_, marked := model.(ChainableModel)
 	canChain := isInterceptor && marked
 	fromChain := chain && canChain && gs.chainValid &&
-		gs.chainValue == spec.Value && gs.chainLabel == spec.AttackLabel() &&
+		gs.chainValue == spec.Value && gs.chainLabel == spec.Attack &&
 		end >= gs.chainAt
 
 	sim := gs.sim
@@ -378,7 +378,7 @@ func (gs *GroupSession) run(ctx context.Context, spec ExperimentSpec, chain, ret
 			gs.chainValid = true
 			gs.chainAt = end
 			gs.chainValue = spec.Value
-			gs.chainLabel = spec.AttackLabel()
+			gs.chainLabel = spec.Attack
 			gs.chainDepth++
 			e.met.trieBoundaries.Inc()
 			e.met.trieDepth.Set(int64(gs.chainDepth))

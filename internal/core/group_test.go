@@ -42,7 +42,7 @@ func groupEngine(t *testing.T, mut func(*EngineConfig)) *Engine {
 // attack on vehicle.2 with varying values and durations.
 func groupSpecs(start des.Time) []ExperimentSpec {
 	setup := CampaignSetup{
-		Attack:    AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{0.4, 1.0, 2.0},
 		Starts:    []des.Time{start},
@@ -142,7 +142,7 @@ func TestGroupForkMatchesFreshJamming(t *testing.T) {
 	// Jamming exercises the Installer path and noise receptions — the
 	// reception-pool restore's hardest case.
 	setup := CampaignSetup{
-		Attack:    AttackJamming,
+		Attack:    "jamming",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{20, 30},
 		Starts:    []des.Time{19 * des.Second},

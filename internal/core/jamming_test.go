@@ -68,7 +68,7 @@ func TestJammingPowerThreshold(t *testing.T) {
 	}
 	run := func(power float64) ExperimentResult {
 		res, err := eng.RunExperiment(ExperimentSpec{
-			Kind:     AttackJamming,
+			Attack:   "jamming",
 			Targets:  []string{"vehicle.2"},
 			Value:    power,
 			Start:    18 * des.Second,

@@ -18,7 +18,7 @@ import (
 	"comfase/internal/runner"
 )
 
-// postProto drives one protocol endpoint of a coordinator handler
+// postProto drives one protocol endpoint of a service handler
 // in-process and decodes the response.
 func postProto(t *testing.T, h http.Handler, path string, req, resp any) int {
 	t.Helper()
@@ -70,24 +70,43 @@ func testRows(from, to int, tag string) []ResultRow {
 	return rows
 }
 
-func newTestCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *bytes.Buffer) {
+// newTestCoordinator builds the single-campaign service `comfase serve
+// -config` runs: FinishWhenDone, and one campaign (ID "c1") added with
+// caller-owned writers. A nil ConfigJSON or Results gets a stub config
+// and the returned buffer.
+func newTestCoordinator(t *testing.T, opts ServiceOptions, spec CampaignSpec) (*Service, *bytes.Buffer) {
 	t.Helper()
 	var out bytes.Buffer
-	if opts.ConfigJSON == nil {
-		opts.ConfigJSON = []byte(`{}`)
+	if spec.ConfigJSON == nil {
+		spec.ConfigJSON = []byte(`{}`)
 	}
-	if opts.Results == nil {
-		opts.Results = &out
+	if spec.Results == nil {
+		spec.Results = &out
 	}
-	c, err := NewCoordinator(opts)
+	opts.FinishWhenDone = true
+	svc, err := NewService(opts)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("NewService: %v", err)
 	}
-	return c, &out
+	if id, err := svc.AddCampaign(spec); err != nil || id != "c1" {
+		t.Fatalf("AddCampaign = %q, %v; want c1", id, err)
+	}
+	return svc, &out
+}
+
+// merged reports how many grid points of campaign c1 have been written
+// out (the resumed prefix included).
+func merged(t *testing.T, svc *Service) int {
+	t.Helper()
+	st, ok := svc.CampaignStatusByID("c1")
+	if !ok {
+		t.Fatal("campaign c1 missing")
+	}
+	return st.Merged
 }
 
 // waitDone runs c.Wait with a deadline and returns its error.
-func waitDone(t *testing.T, c *Coordinator) error {
+func waitDone(t *testing.T, c *Service) error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -103,9 +122,7 @@ func waitDone(t *testing.T, c *Coordinator) error {
 }
 
 func TestCoordinatorFrontierOrder(t *testing.T) {
-	c, out := newTestCoordinator(t, CoordinatorOptions{
-		Total: 6, LeaseSize: 2, NoHeader: true,
-	})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 6, NoHeader: true})
 	h := c.Handler()
 	w1 := register(t, h)
 	l0 := lease(t, h, w1) // [0,2)
@@ -130,7 +147,7 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 		t.Fatalf("rows written before the frontier reached them: %q", out.String())
 	}
 	complete(l0)
-	if got := c.Merged(); got != 2 {
+	if got := merged(t, c); got != 2 {
 		t.Fatalf("after chunk 0: merged %d, want 2 (chunk 2 still buffered)", got)
 	}
 	complete(l1)
@@ -153,10 +170,7 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 	clock := newFakeClock()
 	reg := obs.NewRegistry()
-	c, out := newTestCoordinator(t, CoordinatorOptions{
-		Total: 4, LeaseSize: 2, NoHeader: true, MaxFailures: -1,
-		LeaseTTL: 10 * time.Second, Now: clock.Now, Metrics: reg,
-	})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Now: clock.Now, Metrics: reg}, CampaignSpec{Total: 4, NoHeader: true, MaxFailures: -1})
 	h := c.Handler()
 	w1 := register(t, h)
 	w2 := register(t, h)
@@ -220,7 +234,7 @@ func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 }
 
 func TestCoordinatorCoverageRejected(t *testing.T) {
-	c, out := newTestCoordinator(t, CoordinatorOptions{Total: 4, LeaseSize: 2, NoHeader: true})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 4, NoHeader: true})
 	h := c.Handler()
 	w1 := register(t, h)
 	l := lease(t, h, w1)
@@ -253,10 +267,8 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 }
 
 func TestCoordinatorResumePrefix(t *testing.T) {
-	c, out := newTestCoordinator(t, CoordinatorOptions{
-		Total: 6, LeaseSize: 2, NoHeader: true, ResumePrefix: 3,
-	})
-	if got := c.Merged(); got != 3 {
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 6, NoHeader: true, ResumePrefix: 3})
+	if got := merged(t, c); got != 3 {
 		t.Fatalf("resumed Merged = %d, want 3", got)
 	}
 	h := c.Handler()
@@ -283,9 +295,7 @@ func TestCoordinatorResumePrefix(t *testing.T) {
 }
 
 func TestCoordinatorResumeComplete(t *testing.T) {
-	c, out := newTestCoordinator(t, CoordinatorOptions{
-		Total: 4, LeaseSize: 2, NoHeader: true, ResumePrefix: 4,
-	})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 4, NoHeader: true, ResumePrefix: 4})
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait on a fully resumed grid: %v", err)
 	}
@@ -296,10 +306,7 @@ func TestCoordinatorResumeComplete(t *testing.T) {
 
 func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 	var quarantine bytes.Buffer
-	c, out := newTestCoordinator(t, CoordinatorOptions{
-		Total: 4, LeaseSize: 4, NoHeader: true, MaxFailures: 1,
-		Quarantine: &quarantine,
-	})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 4}, CampaignSpec{Total: 4, NoHeader: true, MaxFailures: 1, Quarantine: &quarantine})
 	h := c.Handler()
 	w1 := register(t, h)
 	l := lease(t, h, w1)
@@ -335,7 +342,7 @@ func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 }
 
 func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
-	c, _ := newTestCoordinator(t, CoordinatorOptions{Total: 4, LeaseSize: 2, NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 4, NoHeader: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // immediate drain: nothing leased, nothing done
 	err := c.Wait(ctx)
@@ -352,7 +359,7 @@ func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
 func TestCoordinatorHeaderSchema(t *testing.T) {
 	runGrid := func(matrix, fail bool) string {
 		t.Helper()
-		c, out := newTestCoordinator(t, CoordinatorOptions{Total: 1, LeaseSize: 1, Matrix: matrix, MaxFailures: -1})
+		c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, CampaignSpec{Total: 1, Matrix: matrix, MaxFailures: -1})
 		h := c.Handler()
 		w1 := register(t, h)
 		l := lease(t, h, w1)
@@ -386,7 +393,7 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 		t.Errorf("all-failure output = %q, want empty (lazy header)", got)
 	}
 	// Resuming a complete grid must not append a second header.
-	c, out := newTestCoordinator(t, CoordinatorOptions{Total: 1, ResumePrefix: 1})
+	c, out := newTestCoordinator(t, ServiceOptions{}, CampaignSpec{Total: 1, ResumePrefix: 1})
 	if err := waitDone(t, c); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +403,7 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 }
 
 func TestCoordinatorStatus(t *testing.T) {
-	c, _ := newTestCoordinator(t, CoordinatorOptions{Total: 6, LeaseSize: 2, NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 6, NoHeader: true})
 	h := c.Handler()
 	w1 := register(t, h)
 	lease(t, h, w1)
@@ -412,5 +419,28 @@ func TestCoordinatorStatus(t *testing.T) {
 	}
 	if !st.Workers[0].Live {
 		t.Errorf("freshly registered worker not live: %+v", st.Workers[0])
+	}
+}
+
+// TestAddCampaignRejectsBadSpec: a campaign added with caller-owned
+// writers is checked before it reaches the scheduler.
+func TestAddCampaignRejectsBadSpec(t *testing.T) {
+	var out bytes.Buffer
+	for name, spec := range map[string]CampaignSpec{
+		"no config":       {Total: 2, Results: &out},
+		"invalid config":  {ConfigJSON: []byte(`{`), Total: 2, Results: &out},
+		"no results":      {ConfigJSON: []byte(`{}`), Total: 2},
+		"resume past end": {ConfigJSON: []byte(`{}`), Total: 2, ResumePrefix: 3, Results: &out},
+	} {
+		svc, err := NewService(ServiceOptions{FinishWhenDone: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.AddCampaign(spec); err == nil {
+			t.Errorf("%s: AddCampaign accepted %+v", name, spec)
+		}
+		if n := len(svc.ListCampaigns()); n != 0 {
+			t.Errorf("%s: %d campaign(s) registered after a rejected add", name, n)
+		}
 	}
 }

@@ -102,20 +102,18 @@ func TestFabricChaosEquivalence(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	var csvBuf, qBuf bytes.Buffer
-	coord, err := NewCoordinator(CoordinatorOptions{
+	coord, _ := newTestCoordinator(t, ServiceOptions{
+		LeaseSize: 2,
+		LeaseTTL:  400 * time.Millisecond,
+		Metrics:   reg,
+		Logf:      t.Logf,
+	}, CampaignSpec{
 		ConfigJSON:  []byte(e2eConfig),
 		Total:       total,
-		LeaseSize:   2,
-		LeaseTTL:    400 * time.Millisecond,
 		Results:     &csvBuf,
 		Quarantine:  &qBuf,
 		MaxFailures: -1,
-		Metrics:     reg,
-		Logf:        t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -177,7 +175,7 @@ func TestFabricChaosEquivalence(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 
-	if got := coord.Merged(); got != total {
+	if got := merged(t, coord); got != total {
 		t.Fatalf("merged %d/%d grid points", got, total)
 	}
 	if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
@@ -213,16 +211,8 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 	total := parsed.Campaign.NumExperiments()
 
 	var csvBuf bytes.Buffer
-	coord, err := NewCoordinator(CoordinatorOptions{
-		ConfigJSON: []byte(e2eConfig),
-		Total:      total,
-		LeaseSize:  3,
-		LeaseTTL:   2 * time.Second,
-		Results:    &csvBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 3, LeaseTTL: 2 * time.Second},
+		CampaignSpec{ConfigJSON: []byte(e2eConfig), Total: total, Results: &csvBuf})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"comfase/internal/analysis"
 	"comfase/internal/config"
 	"comfase/internal/obs"
 	"comfase/internal/runner"
@@ -30,6 +31,23 @@ const (
 	StateCancelled = "cancelled" // cancelled by the operator
 )
 
+// ErrDrained marks a service that shut down in draining mode with work
+// incomplete: everything leased at drain time was finished (or expired)
+// and flushed, but un-leased ranges were never executed. A later
+// `comfase serve -resume` run picks up exactly where each campaign's
+// merged prefix ends.
+var ErrDrained = errors.New("fabric: drained before the grid completed")
+
+// DefaultLeaseTTL is the worker lease time-to-live used when the
+// service is configured without one. Long enough that a loaded worker
+// renewing at TTL/3 never flaps, short enough that a dead worker's range
+// is re-leased promptly.
+const DefaultLeaseTTL = 15 * time.Second
+
+// DefaultLeaseSize is the per-lease range length used when the service
+// is configured without one.
+const DefaultLeaseSize = 16
+
 // DefaultFairnessCap bounds how many chunks one campaign may hold leased
 // while other active campaigns still have pending work. The scheduler is
 // work-conserving: the cap shapes preference, it never idles a worker.
@@ -40,8 +58,8 @@ type ServiceOptions struct {
 	// Dir, when set, enables submit mode: campaigns arrive over the
 	// /v1/campaigns API and every campaign's artifacts live side by side
 	// in this directory under the runner.CampaignFilesIn layout. When
-	// empty the service only runs campaigns added programmatically (the
-	// single-campaign Coordinator wrapper).
+	// empty the service only runs campaigns added with AddCampaign
+	// (`comfase serve -config`).
 	Dir string
 	// Resume, with Dir, re-adopts every campaign already in the
 	// directory: each `<id>.config.json` is re-submitted with its merged
@@ -58,8 +76,9 @@ type ServiceOptions struct {
 	// campaigns have pending work (<= 0 selects DefaultFairnessCap).
 	FairnessCap int
 	// FinishWhenDone makes Wait return once every submitted campaign is
-	// terminal — the single-campaign Coordinator behavior. Without it
-	// the service runs until drained, accepting submissions forever.
+	// terminal, and makes a campaign's fatal error the service's — the
+	// single-campaign `serve -config` behavior. Without it the service
+	// runs until drained, accepting submissions forever.
 	FinishWhenDone bool
 	// Metrics receives the fabric counters and gauges; nil disables.
 	Metrics *obs.Registry
@@ -69,22 +88,53 @@ type ServiceOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// campaignSpec is the internal submission record: everything addCampaign
-// needs, whether the campaign came over the wire (submit mode derives
-// the grid from the config) or from the Coordinator wrapper (explicit
-// dims and external writers).
-type campaignSpec struct {
-	id, name     string
-	configJSON   []byte
-	base, total  int
-	matrix       bool
-	maxFailures  int
-	resumePrefix int
-	noHeader     bool
-	// results/quarantine, when non-nil, are the wrapper's external
-	// writers; otherwise submit mode opens the campaign's own files.
-	results    io.Writer
-	quarantine io.Writer
+// CampaignSpec describes a campaign added with AddCampaign: its grid
+// geometry and failure budget, and caller-owned output writers. Submitted
+// campaigns derive the same fields from their config and write their own
+// files under the service directory instead.
+type CampaignSpec struct {
+	// ConfigJSON is the raw campaign config file; it is shipped to
+	// workers with their first lease grant.
+	ConfigJSON []byte
+	// Base is the first expNr of the grid; Total the number of points.
+	Base, Total int
+	// Matrix selects the 11-column matrix CSV schema for the header.
+	Matrix bool
+	// MaxFailures is the campaign failure budget, with the runner's
+	// semantics: 0 aborts on the first quarantined experiment, negative
+	// is unlimited. Already-merged (resumed) failures do not count.
+	MaxFailures int
+	// ResumePrefix: grid points below it are already merged; the lease
+	// table starts past them.
+	ResumePrefix int
+	// Results receives the merged CSV stream (header + rows in expNr
+	// order, byte-identical to a sequential run). Submitted campaigns
+	// leave it nil and write their own results file.
+	Results io.Writer
+	// NoHeader suppresses the CSV header — the resume path appending to
+	// a results file that already carries one.
+	NoHeader bool
+	// Quarantine, when non-nil, receives merged quarantine JSON lines in
+	// expNr order.
+	Quarantine io.Writer
+}
+
+// chunkPayload buffers an accepted range until the frontier reaches it.
+type chunkPayload struct {
+	rows     []ResultRow
+	failures []FailureRow
+}
+
+// workerInfo is the service's per-worker liveness record.
+type workerInfo struct {
+	host     string
+	pid      int
+	lastSeen time.Time
+	snapshot *obs.Snapshot
+	// notifiedEnd: this worker has been told the run is over (a Done
+	// lease/complete response or a Draining lease response), so it will
+	// not poll again. Linger waits for every live worker to reach it.
+	notifiedEnd bool
 }
 
 // serviceCampaign is one campaign's full server-side state. The lease
@@ -98,7 +148,7 @@ type serviceCampaign struct {
 	matrix      bool
 	maxFailures int
 	configJSON  []byte
-	files       runner.CampaignFiles // zero value in wrapper mode
+	files       runner.CampaignFiles // zero value for AddCampaign campaigns
 	table       *LeaseTable
 
 	// Sinks. cw writes through to the primary sink and the in-memory
@@ -132,8 +182,8 @@ type serviceCampaign struct {
 // grids, each with its own namespaced lease table, generation counters,
 // release frontier and output files, drained oldest-first by a shared
 // worker fleet under a per-campaign fairness cap. Create with
-// NewService, mount Handler, submit campaigns (over the API in submit
-// mode, or via the Coordinator wrapper), then Wait.
+// NewService, mount Handler, add campaigns (Submit or the API in submit
+// mode, AddCampaign with caller-owned writers otherwise), then Wait.
 type Service struct {
 	opts       ServiceOptions
 	now        func() time.Time
@@ -270,9 +320,8 @@ func (s *Service) Submit(name string, cfgJSON []byte) (SubmitResponse, error) {
 	if err := os.WriteFile(files.Config, cfgJSON, 0o644); err != nil {
 		return SubmitResponse{}, fmt.Errorf("fabric: persisting campaign config: %w", err)
 	}
-	c, err := s.addCampaign(campaignSpec{
-		id: id, name: name, configJSON: cfgJSON,
-		base: base, total: total, matrix: matrix, maxFailures: budget,
+	c, err := s.addCampaign(id, name, CampaignSpec{
+		ConfigJSON: cfgJSON, Base: base, Total: total, Matrix: matrix, MaxFailures: budget,
 	})
 	if err != nil {
 		return SubmitResponse{}, err
@@ -309,10 +358,9 @@ func (s *Service) resumeDir() error {
 				name = st.Name
 			}
 		}
-		if _, err := s.addCampaign(campaignSpec{
-			id: files.ID, name: name, configJSON: cfgJSON,
-			base: base, total: total, matrix: matrix, maxFailures: budget,
-			resumePrefix: prefix,
+		if _, err := s.addCampaign(files.ID, name, CampaignSpec{
+			ConfigJSON: cfgJSON, Base: base, Total: total, Matrix: matrix, MaxFailures: budget,
+			ResumePrefix: prefix,
 		}); err != nil {
 			return err
 		}
@@ -341,70 +389,95 @@ func splitTrailingCampaignInt(id string) (prefix string, n int, ok bool) {
 	return id[:i], n, true
 }
 
-// addCampaign builds the campaign's lease table, opens its sinks, and
-// registers it with the scheduler.
-func (s *Service) addCampaign(spec campaignSpec) (*serviceCampaign, error) {
-	if spec.resumePrefix < 0 || spec.resumePrefix > spec.total {
-		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", spec.resumePrefix, spec.total)
+// AddCampaign enqueues a campaign whose merged outputs go to the
+// caller's writers and returns its ID ("c1" for a service's first
+// campaign). It is how `comfase serve -config` runs its single grid.
+func (s *Service) AddCampaign(spec CampaignSpec) (string, error) {
+	switch {
+	case !json.Valid(spec.ConfigJSON):
+		return "", errors.New("fabric: campaign config is missing or not valid JSON")
+	case spec.Results == nil:
+		return "", errors.New("fabric: campaign needs a results writer")
+	}
+	s.mu.Lock()
+	s.nextSeq++
+	id := "c" + strconv.Itoa(s.nextSeq)
+	s.mu.Unlock()
+	c, err := s.addCampaign(id, "", spec)
+	if err != nil {
+		return "", err
+	}
+	return c.id, nil
+}
+
+// addCampaign builds the campaign's lease table, opens its sinks — the
+// spec's writers, or the campaign's own files under the service
+// directory when the spec has none — and registers it with the
+// scheduler.
+func (s *Service) addCampaign(id, name string, spec CampaignSpec) (*serviceCampaign, error) {
+	if spec.ResumePrefix < 0 || spec.ResumePrefix > spec.Total {
+		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", spec.ResumePrefix, spec.Total)
 	}
 	var labels []string
 	if s.submitMode {
-		labels = []string{"campaign", spec.id}
+		labels = []string{"campaign", id}
 	}
-	table, err := NewLeaseTable(spec.base, spec.total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, labels...)
+	table, err := NewLeaseTable(spec.Base, spec.Total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, labels...)
 	if err != nil {
 		return nil, err
 	}
 	c := &serviceCampaign{
-		id: spec.id, name: spec.name,
-		base: spec.base, total: spec.total,
-		matrix: spec.matrix, maxFailures: spec.maxFailures,
-		configJSON: spec.configJSON,
+		id: id, name: name,
+		base: spec.Base, total: spec.Total,
+		matrix: spec.Matrix, maxFailures: spec.MaxFailures,
+		configJSON: spec.ConfigJSON,
 		table:      table,
-		quarantine: spec.quarantine,
+		quarantine: spec.Quarantine,
 		mem:        &bytes.Buffer{},
 		memQ:       &bytes.Buffer{},
 		buffered:   make(map[int]chunkPayload),
 	}
 	if s.submitMode {
-		c.files = runner.CampaignFilesIn(s.opts.Dir, spec.id)
-		c.rowsMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", spec.id))
-		c.failuresMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", spec.id))
-		if err := s.openCampaignSinks(c, spec.resumePrefix > 0); err != nil {
-			return nil, err
-		}
+		c.rowsMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", id))
+		c.failuresMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", id))
 	} else {
 		c.rowsMerged = s.rowsMerged
 		c.failuresMerged = s.failuresMerged
-		mw := io.MultiWriter(spec.results, c.mem)
-		c.cw = csv.NewWriter(mw)
-		c.headerPending = !spec.noHeader
 	}
-	if spec.resumePrefix > 0 {
-		table.MarkDonePrefix(spec.base + spec.resumePrefix)
+	if spec.Results == nil {
+		c.files = runner.CampaignFilesIn(s.opts.Dir, id)
+		if err := s.openCampaignSinks(c, spec.ResumePrefix > 0); err != nil {
+			return nil, err
+		}
+	} else {
+		c.cw = csv.NewWriter(io.MultiWriter(spec.Results, c.mem))
+		c.headerPending = !spec.NoHeader
+	}
+	if spec.ResumePrefix > 0 {
+		table.MarkDonePrefix(spec.Base + spec.ResumePrefix)
 		for c.nextChunk < table.NumChunks() {
 			_, to, _ := table.Bounds(c.nextChunk)
-			if to > spec.base+spec.resumePrefix {
+			if to > spec.Base+spec.ResumePrefix {
 				break
 			}
 			c.nextChunk++
 		}
-		c.merged = spec.resumePrefix
+		c.merged = spec.ResumePrefix
 	}
 
 	s.mu.Lock()
-	if _, dup := s.campaigns[spec.id]; dup {
+	if _, dup := s.campaigns[id]; dup {
 		s.mu.Unlock()
 		c.closeSinks()
-		return nil, fmt.Errorf("fabric: duplicate campaign ID %q", spec.id)
+		return nil, fmt.Errorf("fabric: duplicate campaign ID %q", id)
 	}
 	c.seq = len(s.order) + 1
-	s.campaigns[spec.id] = c
-	s.order = append(s.order, spec.id)
+	s.campaigns[id] = c
+	s.order = append(s.order, id)
 	s.publishLocked(c)
 	s.mu.Unlock()
 	s.submitted.Inc()
-	s.logf("campaign %s submitted: grid [%d,%d), %d chunk(s)", spec.id, spec.base, spec.base+spec.total, table.NumChunks())
+	s.logf("campaign %s submitted: grid [%d,%d), %d chunk(s)", id, spec.Base, spec.Base+spec.Total, table.NumChunks())
 	return c, nil
 }
 
@@ -490,9 +563,10 @@ func (c *serviceCampaign) statusLocked() CampaignStatus {
 }
 
 // publishLocked refreshes the campaign's atomic results snapshot and,
-// in submit mode, its on-disk status document. Service.mu held. The
-// snapshot is the results endpoint's ONLY data source; it carries what
-// the frontier has durably released, never in-flight worker state.
+// for a campaign with its own files, its on-disk status document.
+// Service.mu held. The snapshot is the results endpoint's ONLY data
+// source; it carries what the frontier has durably released, never
+// in-flight worker state.
 func (s *Service) publishLocked(c *serviceCampaign) {
 	st := c.statusLocked()
 	c.snapshot.Store(&CampaignResultsResponse{
@@ -503,7 +577,7 @@ func (s *Service) publishLocked(c *serviceCampaign) {
 		CSV:        c.mem.String(),
 		Quarantine: c.memQ.String(),
 	})
-	if s.submitMode {
+	if c.files.Status != "" {
 		if err := writeStatusDoc(c.files.Status, st); err != nil {
 			s.logf("campaign %s: status doc: %v", c.id, err)
 		}
@@ -639,21 +713,9 @@ func (s *Service) Results(id string) (*CampaignResultsResponse, bool) {
 	return c.snapshot.Load(), true
 }
 
-// campaignMerged reports a campaign's merged/failure counts (wrapper
-// accessors).
-func (s *Service) campaignCounts(id string) (merged, failures int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.campaigns[id]; ok {
-		return c.merged, c.failures
-	}
-	return 0, 0
-}
-
 // failCampaign records a campaign-fatal error. In FinishWhenDone mode
-// (the single-campaign wrapper) the campaign's failure is the service's
-// failure, preserving the Coordinator's semantics; in submit mode the
-// service keeps serving the other campaigns.
+// (`serve -config`) the campaign's failure is the service's failure; in
+// submit mode the service keeps serving the other campaigns.
 func (s *Service) failCampaign(c *serviceCampaign, err error) {
 	s.mu.Lock()
 	fresh := c.failedErr == nil && !c.cancelled
@@ -923,6 +985,24 @@ func (s *Service) Linger() {
 
 // ---- worker data-plane handlers ------------------------------------
 
+// readBody slurps a protocol request under the message size cap.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMessageBytes))
+	if err != nil {
+		http.Error(w, "fabric: oversized or unreadable body", http.StatusBadRequest)
+		return nil, false
+	}
+	return data, true
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		// The client will see a truncated body and retry.
+		return
+	}
+}
+
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	data, ok := readBody(w, r)
 	if !ok {
@@ -1033,6 +1113,29 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ReportResponse{OK: true, Draining: draining})
+}
+
+// verifyCoverage checks that rows and failures partition [from, to):
+// each sorted strictly ascending, union exactly the interval.
+func verifyCoverage(from, to int, rows []ResultRow, failures []FailureRow) error {
+	ri, fi := 0, 0
+	for nr := from; nr < to; nr++ {
+		switch {
+		case ri < len(rows) && rows[ri].Nr == nr:
+			if fi < len(failures) && failures[fi].Nr == nr {
+				return fmt.Errorf("%w: expNr %d present as both result and failure", ErrProtocol, nr)
+			}
+			ri++
+		case fi < len(failures) && failures[fi].Nr == nr:
+			fi++
+		default:
+			return fmt.Errorf("%w: completion of [%d,%d) is missing expNr %d", ErrProtocol, from, to, nr)
+		}
+	}
+	if ri != len(rows) || fi != len(failures) {
+		return fmt.Errorf("%w: completion of [%d,%d) carries expNrs outside the range", ErrProtocol, from, to)
+	}
+	return nil
 }
 
 func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -1285,7 +1388,10 @@ func (s *Service) releaseLocked(c *serviceCampaign) error {
 }
 
 func (c *serviceCampaign) writeHeader() error {
-	header := resultHeader(c.matrix)
+	header := analysis.ExperimentCSVHeader()
+	if c.matrix {
+		header = analysis.MatrixCSVHeader()
+	}
 	if err := c.cw.Write(header); err != nil {
 		return fmt.Errorf("fabric: results header: %w", err)
 	}

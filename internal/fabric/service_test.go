@@ -46,8 +46,8 @@ func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids 
 	var ids []string
 	for i, total := range grids {
 		id := "c" + string(rune('1'+i))
-		if _, err := svc.addCampaign(campaignSpec{
-			id: id, configJSON: []byte(`{}`), total: total, maxFailures: -1,
+		if _, err := svc.addCampaign(id, "", CampaignSpec{
+			ConfigJSON: []byte(`{}`), Total: total, MaxFailures: -1,
 		}); err != nil {
 			t.Fatalf("addCampaign %s: %v", id, err)
 		}
@@ -378,10 +378,10 @@ func TestServiceSubmitAPI(t *testing.T) {
 	}
 }
 
-// TestServiceSubmitRequiresDir pins the wrapper-mode guard: a coordinator
+// TestServiceSubmitRequiresDir pins the single-campaign guard: a service
 // without a service directory refuses submissions with 403.
 func TestServiceSubmitRequiresDir(t *testing.T) {
-	c, _ := newTestCoordinator(t, CoordinatorOptions{Total: 2, LeaseSize: 2, NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 2, NoHeader: true})
 	code := postProto(t, c.Handler(), PathCampaigns, SubmitRequest{Config: json.RawMessage(`{}`)}, nil)
 	if code != http.StatusForbidden {
 		t.Fatalf("submit without -dir: HTTP %d, want 403", code)

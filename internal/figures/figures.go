@@ -7,12 +7,14 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/runner"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
 	"comfase/internal/trace"
@@ -58,7 +60,7 @@ func DelaySetup(quick bool) core.CampaignSetup {
 		return core.PaperDelayCampaign()
 	}
 	setup := core.CampaignSetup{
-		Attack:  core.AttackDelay,
+		Attack:  "delay",
 		Targets: []string{"vehicle.2"},
 		Values:  []float64{0.2, 0.8, 1.4, 2.2, 3.0},
 		Starts: []des.Time{
@@ -92,15 +94,19 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
+	r, err := runner.New(eng, runner.Options{Progress: opts.Progress})
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
-	delay, err := eng.RunCampaign(DelaySetup(opts.Quick), opts.Progress)
+	delay, err := r.Run(context.Background(), DelaySetup(opts.Quick))
 	if err != nil {
 		return nil, err
 	}
 	delayWall := time.Since(t0)
 
 	t0 = time.Now()
-	dos, err := eng.RunCampaign(core.PaperDoSCampaign(), opts.Progress)
+	dos, err := r.Run(context.Background(), core.PaperDoSCampaign())
 	if err != nil {
 		return nil, err
 	}

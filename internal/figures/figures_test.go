@@ -1,10 +1,13 @@
 package figures
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"comfase/internal/analysis"
 	"comfase/internal/core"
+	"comfase/internal/scenario"
 )
 
 func TestDelaySetupFullIsTableII(t *testing.T) {
@@ -22,7 +25,7 @@ func TestDelaySetupQuickIsRepresentative(t *testing.T) {
 	if quick.NumExperiments() != 150 {
 		t.Errorf("quick grid = %d, want 150", quick.NumExperiments())
 	}
-	if quick.Attack != core.AttackDelay || quick.Targets[0] != "vehicle.2" {
+	if quick.Attack != "delay" || quick.Targets[0] != "vehicle.2" {
 		t.Errorf("quick setup %+v not a delay attack on vehicle 2", quick)
 	}
 }
@@ -126,6 +129,44 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+
+	// The campaign runner (parallel, checkpoint trie) must export exactly
+	// what a fresh sequential RunExperiment loop over the same grids does.
+	eng, err := core.NewEngine(core.EngineConfig{
+		Scenario: scenario.PaperScenario(),
+		Comm:     scenario.PaperCommModel(),
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, c := range []struct {
+		name  string
+		setup core.CampaignSetup
+		got   *core.CampaignResult
+	}{
+		{"delay", DelaySetup(true), res.Delay},
+		{"dos", core.PaperDoSCampaign(), res.DoS},
+	} {
+		var fresh []core.ExperimentResult
+		for _, spec := range c.setup.Experiments() {
+			r, err := eng.RunExperiment(spec)
+			if err != nil {
+				t.Fatalf("%s experiment %v: %v", c.name, spec, err)
+			}
+			fresh = append(fresh, r)
+		}
+		var want, got bytes.Buffer
+		if err := analysis.ExperimentsCSV(&want, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := analysis.ExperimentsCSV(&got, c.got.Experiments); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("%s campaign CSV differs from the sequential RunExperiment loop", c.name)
 		}
 	}
 }

@@ -56,7 +56,7 @@ type Cell struct {
 	// Def is the resolved scenario definition.
 	Def ScenarioDef
 	// Setup is the cell's campaign grid; Setup.Scenario and
-	// Setup.AttackName are stamped for result-row identity.
+	// Setup.Attack are stamped for result-row identity.
 	Setup core.CampaignSetup
 }
 
@@ -87,24 +87,19 @@ func (m Matrix) Expand() ([]Cell, error) {
 			return nil, fmt.Errorf("registry: matrix scenario %q: %w", label, err)
 		}
 		for _, ma := range m.Attacks {
-			entry, err := LookupAttack(ma.Name)
-			if err != nil {
-				return nil, err
-			}
 			targets := ma.Targets
 			if len(targets) == 0 {
 				targets = []string{"vehicle.2"}
 			}
 			setup := core.CampaignSetup{
-				Attack:     entry.Kind,
-				AttackName: ma.Name,
-				Params:     ma.Params,
-				Scenario:   label,
-				Base:       base,
-				Targets:    targets,
-				Values:     ma.Values,
-				Starts:     ma.Starts,
-				Durations:  ma.Durations,
+				Attack:    ma.Name,
+				Params:    ma.Params,
+				Scenario:  label,
+				Base:      base,
+				Targets:   targets,
+				Values:    ma.Values,
+				Starts:    ma.Starts,
+				Durations: ma.Durations,
 			}
 			if err := setup.Validate(); err != nil {
 				return nil, fmt.Errorf("registry: matrix cell %s/%s: %w", label, ma.Name, err)

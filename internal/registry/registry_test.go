@@ -215,8 +215,8 @@ func TestPaperCampaignPresets(t *testing.T) {
 	if got := delay.NumExperiments(); got != 11250 {
 		t.Errorf("paper-delay grid = %d experiments, want 11250", got)
 	}
-	if delay.AttackName != "delay" || delay.Attack != core.AttackDelay {
-		t.Errorf("paper-delay identifies as (%q, %v)", delay.AttackName, delay.Attack)
+	if delay.Attack != "delay" {
+		t.Errorf("paper-delay identifies as %q", delay.Attack)
 	}
 	dos := core.PaperDoSCampaign()
 	if got := dos.NumExperiments(); got != 25 {

@@ -44,7 +44,7 @@ func chaosEngine(t *testing.T, budget uint64) *core.Engine {
 // (10 starts x 5 values x 4 durations).
 func chaosGrid() core.CampaignSetup {
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{0.2, 0.4, 0.6, 0.8, 1.0},
 		Durations: []des.Time{500 * des.Millisecond, des.Second, 1500 * des.Millisecond, 2 * des.Second},
@@ -508,5 +508,37 @@ func TestResumeFailuresSkipsQuarantined(t *testing.T) {
 	}
 	if csv2.Len() != 0 || jsonl2.Len() != 0 {
 		t.Errorf("resumed run re-emitted rows (csv %d bytes, quarantine %d bytes)", csv2.Len(), jsonl2.Len())
+	}
+}
+
+// TestQuarantineNamesRegistryFamily: every experiment of a registry-only
+// family (falsification) overruns a 1 ns watchdog, and each quarantine
+// record must name that family.
+func TestQuarantineNamesRegistryFamily(t *testing.T) {
+	setup := chaosGrid()
+	setup.Attack = "falsification"
+	setup.Starts = setup.Starts[:1]
+	setup.Values = setup.Values[:2]
+	setup.Durations = setup.Durations[:1]
+	quarantine := &MemoryFailureSink{}
+	r, err := New(chaosEngine(t, 0), Options{
+		Workers:           1,
+		MaxFailures:       -1,
+		ExperimentTimeout: time.Nanosecond,
+		Quarantine:        quarantine,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := r.Run(context.Background(), setup); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(quarantine.Failures) != setup.NumExperiments() {
+		t.Fatalf("quarantined %d of %d experiments", len(quarantine.Failures), setup.NumExperiments())
+	}
+	for _, f := range quarantine.Failures {
+		if f.Attack != "falsification" || f.Class != "timeout" {
+			t.Errorf("quarantine record %d: attack %q class %q, want falsification/timeout", f.Nr, f.Attack, f.Class)
+		}
 	}
 }

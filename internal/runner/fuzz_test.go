@@ -64,7 +64,7 @@ func FuzzTrieGroupKey(f *testing.F) {
 			return raw[i%len(raw)]
 		}
 		setup := core.CampaignSetup{
-			Attack:  core.AttackDelay,
+			Attack:  "delay",
 			Targets: []string{"vehicle.2"},
 			Base:    base,
 		}

@@ -128,7 +128,7 @@ func TestHeartbeatLiveCampaign(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := obsEngine(t, 100_000, reg)
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{0.2, 0.5},
 		Starts:    []des.Time{des.Second, des.Second + 200*des.Millisecond, des.Second + 400*des.Millisecond},

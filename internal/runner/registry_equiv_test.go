@@ -31,42 +31,40 @@ func registryGrid(values []float64) core.CampaignSetup {
 // legacyFactory replicates the pre-registry buildModel switch for the
 // families the equivalence test sweeps — the reference the registry
 // path must match bit-for-bit.
-func legacyFactory(kind core.AttackKind) core.ModelFactory {
+func legacyFactory(name string) core.ModelFactory {
 	return func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
-		switch kind {
-		case core.AttackDelay:
+		switch name {
+		case "delay":
 			return core.NewDelayAttack(des.FromSeconds(spec.Value), spec.Targets...)
-		case core.AttackDoS:
+		case "dos":
 			return core.NewDoSAttack(horizon, spec.Targets...)
-		case core.AttackPacketLoss:
+		case "packet-loss":
 			stream := rng.New(seed, fmt.Sprintf("attack.loss.%d", spec.Nr))
 			return core.NewPacketLossAttack(spec.Value, stream, spec.Targets...)
-		case core.AttackReplay:
+		case "replay":
 			return core.NewReplayAttack(des.FromSeconds(spec.Value), spec.Targets...)
 		}
-		return nil, fmt.Errorf("legacyFactory: unhandled kind %v", kind)
+		return nil, fmt.Errorf("legacyFactory: unhandled attack %q", name)
 	}
 }
 
-// TestRegistryCampaignEquivalence is the refactor's self-test: the
-// registry attack path (by enum kind and by family name) must reproduce
-// the legacy hardcoded-switch behaviour bit-for-bit. For each family it
-// runs the same grid three ways — enum kind, registry name, and a
-// factory replicating the old switch — and requires byte-identical
-// result CSVs.
+// TestRegistryCampaignEquivalence is the registry's self-test: the
+// registry attack path (by family name) must reproduce the legacy
+// hardcoded-switch behaviour bit-for-bit. For each family it runs the
+// same grid two ways — registry name, and a factory replicating the old
+// switch — and requires byte-identical result CSVs.
 func TestRegistryCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs campaigns in -short mode")
 	}
 	families := []struct {
 		name   string
-		kind   core.AttackKind
 		values []float64
 	}{
-		{"delay", core.AttackDelay, []float64{0.3, 1.0}},
-		{"dos", core.AttackDoS, []float64{5}},
-		{"packet-loss", core.AttackPacketLoss, []float64{0.5, 0.9}},
-		{"replay", core.AttackReplay, []float64{0.5, 1.5}},
+		{"delay", []float64{0.3, 1.0}},
+		{"dos", []float64{5}},
+		{"packet-loss", []float64{0.5, 0.9}},
+		{"replay", []float64{0.5, 1.5}},
 	}
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
@@ -84,17 +82,13 @@ func TestRegistryCampaignEquivalence(t *testing.T) {
 				}
 				return buf.Bytes()
 			}
-			kindCSV := run(func(s *core.CampaignSetup) { s.Attack = fam.kind })
-			nameCSV := run(func(s *core.CampaignSetup) { s.AttackName = fam.name })
+			nameCSV := run(func(s *core.CampaignSetup) { s.Attack = fam.name })
 			factoryCSV := run(func(s *core.CampaignSetup) {
-				s.Factory = legacyFactory(fam.kind)
-				s.AttackName = fam.name // label parity with the registry paths
+				s.Factory = legacyFactory(fam.name)
+				s.Attack = fam.name // label parity with the registry path
 			})
-			if !bytes.Equal(kindCSV, nameCSV) {
-				t.Errorf("registry name path differs from enum path:\nkind:\n%s\nname:\n%s", kindCSV, nameCSV)
-			}
-			if !bytes.Equal(kindCSV, factoryCSV) {
-				t.Errorf("registry path differs from legacy factory:\nkind:\n%s\nfactory:\n%s", kindCSV, factoryCSV)
+			if !bytes.Equal(nameCSV, factoryCSV) {
+				t.Errorf("registry path differs from legacy factory:\nname:\n%s\nfactory:\n%s", nameCSV, factoryCSV)
 			}
 		})
 	}
@@ -180,15 +174,13 @@ func TestRegistryChaosEquivalence(t *testing.T) {
 	clear(chaosAttackAttempts)
 	chaosAttackMu.Unlock()
 	regCSV, regClasses := run(func(s *core.CampaignSetup) {
-		s.Attack = 0 // chaosGrid pre-sets the delay kind; resolve by name alone
-		s.AttackName = "chaos-delay"
+		s.Attack = "chaos-delay"
 	})
 
 	var mu sync.Mutex
 	attempts := map[int]int{}
 	facCSV, facClasses := run(func(s *core.CampaignSetup) {
-		s.Attack = 0
-		s.AttackName = "chaos-delay" // label parity; Factory wins in buildModel
+		s.Attack = "chaos-delay" // label parity; Factory wins in buildModel
 		s.Factory = chaosFactory(&mu, attempts)
 	})
 
@@ -279,10 +271,9 @@ func TestRunMatrixDeterminism(t *testing.T) {
 func testMatrixCells(t *testing.T) []MatrixCell {
 	t.Helper()
 	eng := chaosEngineConfig(0)
-	grid := func(base int, scenarioLabel, attack string, kind core.AttackKind, values []float64) core.CampaignSetup {
+	grid := func(base int, scenarioLabel, attack string, values []float64) core.CampaignSetup {
 		s := registryGrid(values)
-		s.Attack = kind
-		s.AttackName = attack
+		s.Attack = attack
 		s.Scenario = scenarioLabel
 		s.Base = base
 		return s
@@ -292,13 +283,12 @@ func testMatrixCells(t *testing.T) []MatrixCell {
 	for _, sc := range []string{"cell-a", "cell-b"} {
 		for _, at := range []struct {
 			name   string
-			kind   core.AttackKind
 			values []float64
 		}{
-			{"delay", core.AttackDelay, []float64{0.3, 1.0}},
-			{"packet-loss", core.AttackPacketLoss, []float64{0.5}},
+			{"delay", []float64{0.3, 1.0}},
+			{"packet-loss", []float64{0.5}},
 		} {
-			setup := grid(base, sc, at.name, at.kind, at.values)
+			setup := grid(base, sc, at.name, at.values)
 			cells = append(cells, MatrixCell{Scenario: sc, Attack: at.name, Engine: eng, Setup: setup})
 			base += setup.NumExperiments()
 		}

@@ -38,7 +38,7 @@ func newEngine(t *testing.T) *core.Engine {
 // testGrid is an 8-point grid spanning severe and benign regions.
 func testGrid() core.CampaignSetup {
 	return core.CampaignSetup{
-		Attack:    core.AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{0.4, 2.0},
 		Starts:    []des.Time{17 * des.Second, 19800 * des.Millisecond},
@@ -274,7 +274,7 @@ func TestReadResultsRoundTrip(t *testing.T) {
 		t.Skip("runs experiments in -short mode")
 	}
 	res, csvBytes := runToCSV(t, Options{Workers: 1}, core.CampaignSetup{
-		Attack:    core.AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{2.0},
 		Starts:    []des.Time{18 * des.Second},
@@ -290,7 +290,7 @@ func TestReadResultsRoundTrip(t *testing.T) {
 		t.Fatalf("expNr %d missing from %v", want.Spec.Nr, completed)
 	}
 	if got.Outcome != want.Outcome || got.Collider != want.Collider ||
-		got.Spec.Kind != want.Spec.Kind || got.Spec.Start != want.Spec.Start ||
+		got.Spec.Attack != want.Spec.Attack || got.Spec.Start != want.Spec.Start ||
 		got.Spec.Duration != want.Spec.Duration || got.Spec.Value != want.Spec.Value ||
 		len(got.Collisions) != len(want.Collisions) {
 		t.Errorf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
@@ -326,7 +326,7 @@ func TestJSONAndMemorySinks(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	setup := core.CampaignSetup{
-		Attack:    core.AttackDelay,
+		Attack:    "delay",
 		Targets:   []string{"vehicle.2"},
 		Values:    []float64{2.0},
 		Starts:    []des.Time{18 * des.Second},
@@ -354,23 +354,82 @@ func TestJSONAndMemorySinks(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesEngineCampaign ties the runner to the legacy
-// Engine.RunCampaign path: same grid, same results.
+// TestRunnerMatchesEngineCampaign ties the runner (parallel, with the
+// checkpoint trie) to the plainest possible reference: a sequential
+// Engine.RunExperiment loop over the same grid must export the same CSV.
 func TestRunnerMatchesEngineCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments in -short mode")
 	}
 	setup := testGrid()
-	legacy, err := newEngine(t).RunCampaign(setup, nil)
-	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
-	}
 	var buf bytes.Buffer
-	if err := analysis.ExperimentsCSV(&buf, legacy.Experiments); err != nil {
+	if err := analysis.ExperimentsCSV(&buf, runSequential(t, newEngine(t), setup)); err != nil {
 		t.Fatalf("ExperimentsCSV: %v", err)
 	}
 	_, runnerCSV := runToCSV(t, Options{Workers: 4}, setup)
 	if !bytes.Equal(buf.Bytes(), runnerCSV) {
-		t.Errorf("runner CSV differs from legacy RunCampaign export")
+		t.Errorf("runner CSV differs from the sequential RunExperiment export")
+	}
+}
+
+// runSequential is the reference campaign loop: every grid point of
+// setup, in grid order, through a fresh Engine.RunExperiment.
+func runSequential(t *testing.T, eng *core.Engine, setup core.CampaignSetup) []core.ExperimentResult {
+	t.Helper()
+	var out []core.ExperimentResult
+	for _, spec := range setup.Experiments() {
+		res, err := eng.RunExperiment(spec)
+		if err != nil {
+			t.Fatalf("experiment %v: %v", spec, err)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
+// TestRunnerRejectsInvalidSetup: an invalid grid fails before any
+// simulation runs, and nothing reaches the sinks.
+func TestRunnerRejectsInvalidSetup(t *testing.T) {
+	var buf bytes.Buffer
+	r, err := New(newEngine(t), Options{Workers: 2}, NewCSVSink(&buf))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := r.Run(context.Background(), core.CampaignSetup{}); err == nil {
+		t.Error("invalid setup accepted")
+	}
+	if _, ok := r.eng.Golden(); ok || buf.Len() != 0 {
+		t.Errorf("invalid setup ran the golden run or wrote %d bytes", buf.Len())
+	}
+}
+
+// TestRunnerFailFast pins the early abort: with the default failure
+// budget, the first experiment error stops dispatch instead of draining
+// the grid.
+func TestRunnerFailFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs experiments in -short mode")
+	}
+	var started atomic.Int64
+	setup := testGrid()
+	setup.Starts = append(setup.Starts, 21*des.Second) // 12 experiments, 3 start groups
+	setup.Factory = func(spec core.ExperimentSpec, horizon des.Time, seed uint64) (core.AttackModel, error) {
+		if started.Add(1) == 1 {
+			return nil, errors.New("injected model failure")
+		}
+		return core.NewDelayAttack(des.FromSeconds(spec.Value), spec.Targets...)
+	}
+	r, err := New(newEngine(t), Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	_, err = r.Run(context.Background(), setup)
+	if !errors.Is(err, ErrFailureBudget) || !strings.Contains(err.Error(), "injected model failure") {
+		t.Fatalf("Run = %v, want the injected failure over budget", err)
+	}
+	// Fail-fast bound: the failing start group plus the one in flight on
+	// the other worker — never the third group.
+	if got := started.Load(); got > 8 {
+		t.Errorf("%d experiments started after the first error, want <= 8 (grid 12)", got)
 	}
 }

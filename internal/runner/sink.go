@@ -94,7 +94,7 @@ func (s *JSONSink) Put(res core.ExperimentResult) error {
 	return s.enc.Encode(jsonRow{
 		Nr:          res.Spec.Nr,
 		Scenario:    res.Spec.Scenario,
-		Attack:      res.Spec.AttackLabel(),
+		Attack:      res.Spec.Attack,
 		Value:       res.Spec.Value,
 		StartS:      res.Spec.Start.Seconds(),
 		DurationS:   res.Spec.Duration.Seconds(),
