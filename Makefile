@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet test race gate-tests chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity profile cover
+.PHONY: check build vet test race campaignbench gate-tests chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke bench bench-diff bench-sanity profile cover
 
 # Tier-1 verification gate: build + vet + race-enabled tests (which
 # include the chaos self-test exercising every failure-containment path),
-# a check that every named gate test still exists, a short fuzz smoke
-# over every fuzz target, and a one-shot benchmark sanity pass. The
-# campaign runner executes experiments on a worker pool, so the race
-# detector is part of the default gate, not an optional extra; the bench
-# sanity run keeps the perf harness compiling and executable without
-# paying for a full measurement. This target is the single definition of
-# the gate: scripts/check.sh and CI both run it.
-check: build vet race gate-tests chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke cover bench-sanity
+# vet + tests of the campaignbench module, a check that every named gate
+# test still exists, a short fuzz smoke over every fuzz target, and a
+# one-shot benchmark sanity pass. The campaign runner executes
+# experiments on a worker pool, so the race detector is part of the
+# default gate, not an optional extra; the bench sanity run keeps the
+# perf harness compiling and executable without paying for a full
+# measurement. This target is the single definition of the gate:
+# scripts/check.sh and CI both run it.
+check: build vet race campaignbench gate-tests chaos checkpoint-equiv trie-equiv obs-equiv registry-equiv fabric-equiv fuzz-smoke cover bench-sanity
 
 build:
 	$(GO) build ./...
@@ -24,6 +25,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# campaignbench is a separate Go module (the campaign benchmark harness),
+# so the root ./... never compiles it: vet and test it explicitly, so an
+# internal API change that breaks the benchmark fails the gate.
+campaignbench:
+	cd campaignbench && $(GO) vet ./... && $(GO) test ./...
 
 # Every test name in the -race -run patterns below must exist: `go test
 # -run` passes silently when a pattern matches nothing, so a renamed gate

@@ -573,7 +573,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 
 // BenchmarkCampaignMatrix runs a registry-expanded scenario x attack
 // matrix (2 scenarios x 2 attack families on representative sub-grids)
-// through the flattened-grid matrix executor, covering per-cell golden
+// through runner.Grid, covering per-scenario golden
 // runs, engine reuse across same-scenario cells, checkpoint-trie
 // duration chaining inside the delay cells and per-cell classification.
 func BenchmarkCampaignMatrix(b *testing.B) {
@@ -616,12 +616,17 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	var res *runner.MatrixResult
+	var res *runner.GridResult
 	for i := 0; i < b.N; i++ {
-		res, err = runner.RunMatrix(context.Background(), cells,
-			runner.Options{Workers: runtime.GOMAXPROCS(0)})
+		// A fresh Grid per iteration: every iteration pays the per-scenario
+		// engine builds and golden runs, as one campaign process does.
+		grid, err := runner.NewGrid(cells)
 		if err != nil {
-			b.Fatalf("RunMatrix: %v", err)
+			b.Fatalf("NewGrid: %v", err)
+		}
+		res, err = grid.Run(context.Background(), runner.Options{Workers: runtime.GOMAXPROCS(0)})
+		if err != nil {
+			b.Fatalf("Grid.Run: %v", err)
 		}
 	}
 	b.ReportMetric(float64(len(res.Cells)), "cells")

@@ -210,6 +210,35 @@ func TestRunServeWorkErrors(t *testing.T) {
 	}
 }
 
+// TestRunServeRejectsNegativeHeartbeatInterval: both serve modes refuse
+// a negative -heartbeat-interval, as campaign does, before touching any
+// output file — instead of silently falling back to the default period.
+func TestRunServeRejectsNegativeHeartbeatInterval(t *testing.T) {
+	dir := t.TempDir()
+	cfg := writeGridConfig(t, dir)
+	results := filepath.Join(dir, "m.csv")
+	if err := os.WriteFile(results, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hb := filepath.Join(dir, "hb.json")
+	for name, args := range map[string][]string{
+		"config": {"serve", "-config", cfg, "-results", results},
+		"submit": {"serve", "-dir", filepath.Join(dir, "svc")},
+	} {
+		args = append(args, "-addr", "127.0.0.1:0", "-heartbeat", hb, "-heartbeat-interval", "-1s")
+		err := run(bg(), args, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "negative -heartbeat-interval") {
+			t.Errorf("%s mode: err = %v, want a negative -heartbeat-interval rejection", name, err)
+		}
+	}
+	if data, err := os.ReadFile(results); err != nil || string(data) != "kept\n" {
+		t.Errorf("results file = %q, %v; want it untouched", data, err)
+	}
+	if _, err := os.Stat(hb); !os.IsNotExist(err) {
+		t.Errorf("heartbeat file written despite the rejection: %v", err)
+	}
+}
+
 // TestRunMergeQuarantineCLI merges per-worker quarantine files through
 // the CLI and checks grid ordering, plus the flag-validation paths.
 func TestRunMergeQuarantineCLI(t *testing.T) {

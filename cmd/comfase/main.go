@@ -327,7 +327,6 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "print campaign progress")
 	workers := fs.Int("workers", 1, "parallel experiment workers (0 = all cores)")
 	resultsPath := fs.String("results", "", "stream per-experiment results to this CSV (resume source)")
-	csvPath := fs.String("csv", "", "alias of -results (kept for compatibility)")
 	jsonlPath := fs.String("jsonl", "", "stream per-experiment results to this JSON-lines file")
 	shardSpec := fs.String("shard", "", `grid slice "i/n" this process executes (merge files with: comfase merge)`)
 	resume := fs.Bool("resume", false, "skip experiments already recorded in the results file")
@@ -417,20 +416,35 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	if explicit["checkpoint-trie"] {
 		opts.DisableTrie = !*checkpointTrie
 	}
-	if explicit["invariants"] {
-		parsed.Engine.Invariants = *invariants
+	// Metrics are always collected — the instrumentation is free enough
+	// that there is nothing to turn off — and the heartbeat file and HTTP
+	// endpoint are opt-in views onto the same registry.
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
+	// Every cell's engine gets the same flag overrides and registry.
+	cells := parsed.Grid()
+	for i := range cells {
+		eng := &cells[i].Engine
+		if explicit["invariants"] {
+			eng.Invariants = *invariants
+		}
+		if explicit["event-budget"] {
+			eng.EventBudget = *eventBudget
+		}
+		if explicit["early-exit"] {
+			eng.EarlyExit = *earlyExit
+		}
+		if explicit["early-exit-tolerance"] {
+			eng.EarlyExitTolerance = *earlyExitTolerance
+		}
+		if explicit["early-exit-hold"] {
+			eng.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
+		}
+		eng.Metrics = reg
 	}
-	if explicit["event-budget"] {
-		parsed.Engine.EventBudget = *eventBudget
-	}
-	if explicit["early-exit"] {
-		parsed.Engine.EarlyExit = *earlyExit
-	}
-	if explicit["early-exit-tolerance"] {
-		parsed.Engine.EarlyExitTolerance = *earlyExitTolerance
-	}
-	if explicit["early-exit-hold"] {
-		parsed.Engine.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
+	grid, err := runner.NewGrid(cells)
+	if err != nil {
+		return err
 	}
 	quarantine := parsed.Runtime.QuarantineFile
 	if explicit["quarantine"] {
@@ -452,13 +466,8 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		addr = *metricsAddr
 	}
 	results := parsed.Runtime.ResultsFile
-	switch {
-	case *resultsPath != "" && *csvPath != "" && *resultsPath != *csvPath:
-		return fmt.Errorf("campaign: -results and -csv disagree (%q vs %q)", *resultsPath, *csvPath)
-	case *resultsPath != "":
+	if *resultsPath != "" {
 		results = *resultsPath
-	case *csvPath != "":
-		results = *csvPath
 	}
 	if *resume && results == "" {
 		return fmt.Errorf("campaign: -resume needs a results file (-results)")
@@ -477,9 +486,8 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	matrixMode := len(parsed.Cells) > 0
 	if results != "" {
-		sink, closeSink, err := openResultsSink(results, len(opts.Resume) > 0, matrixMode)
+		sink, closeSink, err := openResultsSink(results, len(opts.Resume) > 0)
 		if err != nil {
 			return err
 		}
@@ -520,12 +528,6 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Metrics are always collected — the instrumentation is free enough
-	// that there is nothing to turn off — and the heartbeat file and HTTP
-	// endpoint are opt-in views onto the same registry.
-	reg := obs.NewRegistry()
-	parsed.Engine.Metrics = reg
-	opts.Metrics = reg
 	if addr != "" {
 		srv, err := obs.NewServer(addr, reg)
 		if err != nil {
@@ -542,41 +544,7 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	var res *core.CampaignResult
-	var mres *runner.MatrixResult
-	if matrixMode {
-		// Per-cell engines inherit the same flag overrides and metrics
-		// registry the single-campaign engine would get.
-		for i := range parsed.Cells {
-			if explicit["invariants"] {
-				parsed.Cells[i].Engine.Invariants = *invariants
-			}
-			if explicit["event-budget"] {
-				parsed.Cells[i].Engine.EventBudget = *eventBudget
-			}
-			if explicit["early-exit"] {
-				parsed.Cells[i].Engine.EarlyExit = *earlyExit
-			}
-			if explicit["early-exit-tolerance"] {
-				parsed.Cells[i].Engine.EarlyExitTolerance = *earlyExitTolerance
-			}
-			if explicit["early-exit-hold"] {
-				parsed.Cells[i].Engine.EarlyExitHold = des.FromSeconds(earlyExitHold.Seconds())
-			}
-			parsed.Cells[i].Engine.Metrics = reg
-		}
-		mres, err = runner.RunMatrix(ctx, parsed.Cells, opts, sinks...)
-	} else {
-		eng, eerr := core.NewEngine(parsed.Engine)
-		if eerr != nil {
-			return eerr
-		}
-		r, rerr := runner.New(eng, opts, sinks...)
-		if rerr != nil {
-			return rerr
-		}
-		res, err = r.Run(ctx, parsed.Campaign)
-	}
+	res, err := grid.Run(ctx, opts, sinks...)
 	if hb != nil {
 		// Stop after the run so the final snapshot carries the campaign's
 		// end state; a write failure is diagnostic, never fatal to results.
@@ -597,21 +565,8 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		return err
 	}
-	var failCounts core.FailureCounts
-	var nDone, gridTotal int
-	if matrixMode {
-		failCounts = mres.FailureCounts
-		nDone = len(mres.Experiments)
-		for _, c := range parsed.Cells {
-			gridTotal += c.Setup.NumExperiments()
-		}
-	} else {
-		failCounts = res.FailureCounts
-		nDone = len(res.Experiments)
-		gridTotal = parsed.Campaign.NumExperiments()
-	}
-	if n := failCounts.Total(); n > 0 {
-		fmt.Fprintf(stdout, "%d experiment(s) quarantined (%v)", n, failCounts)
+	if n := res.FailureCounts.Total(); n > 0 {
+		fmt.Fprintf(stdout, "%d experiment(s) quarantined (%v)", n, res.FailureCounts)
 		if quarantine != "" {
 			fmt.Fprintf(stdout, "; records in %s", quarantine)
 		}
@@ -629,22 +584,22 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if opts.Shard.Enabled() {
 		fmt.Fprintf(out, "shard %s: %d of the grid's %d experiments (merge shard files with: comfase merge)\n\n",
-			opts.Shard, nDone, gridTotal)
+			opts.Shard, res.Counts.Total(), grid.Size())
 	}
-	if matrixMode {
-		return writeMatrixReport(out, mres)
+	if grid.Matrix() {
+		return writeMatrixReport(out, res)
 	}
-	return writeCampaignReport(out, res)
+	return writeCampaignReport(out, res.Cells[0])
 }
 
 // writeMatrixReport renders the whole-matrix summary, the per-cell
 // classification table, and each cell's figure family.
-func writeMatrixReport(w io.Writer, res *runner.MatrixResult) error {
+func writeMatrixReport(w io.Writer, res *runner.GridResult) error {
 	if _, err := fmt.Fprintf(w, "matrix campaign: %d cells, %d experiments: %v\n\n",
 		len(res.Cells), res.Counts.Total(), res.Counts); err != nil {
 		return err
 	}
-	groups := analysis.GroupCells(res.Experiments)
+	groups := analysis.GroupCells(res.Experiments())
 	if err := analysis.WriteCellTable(w, groups); err != nil {
 		return err
 	}
@@ -661,24 +616,17 @@ func writeMatrixReport(w io.Writer, res *runner.MatrixResult) error {
 
 // openResultsSink opens the streaming CSV results file. A resume run
 // with prior rows appends; anything else starts fresh with a header.
-// Matrix runs use the 11-column schema with the scenario column.
-func openResultsSink(path string, appendTo, matrix bool) (runner.Sink, func() error, error) {
+func openResultsSink(path string, appendTo bool) (runner.Sink, func() error, error) {
 	if appendTo {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, err
-		}
-		if matrix {
-			return runner.NewMatrixCSVAppendSink(f), f.Close, nil
 		}
 		return runner.NewCSVAppendSink(f), f.Close, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
-	}
-	if matrix {
-		return runner.NewMatrixCSVSink(f), f.Close, nil
 	}
 	return runner.NewCSVSink(f), f.Close, nil
 }
@@ -712,7 +660,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	// In submit mode the config file is optional and only supplies fabric
 	// defaults; campaigns bring their own configs over the API.
 	var cfgJSON []byte
-	var parsed *config.Parsed
+	parsed := &config.Parsed{}
 	if *cfgPath != "" {
 		var err error
 		cfgJSON, err = os.ReadFile(*cfgPath)
@@ -723,23 +671,45 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-	} else {
-		parsed = &config.Parsed{}
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 
+	srv := fabricServer{
+		addr: parsed.Fabric.Addr,
+		opts: fabric.ServiceOptions{
+			LeaseSize: parsed.Fabric.LeaseSize,
+			LeaseTTL:  parsed.Fabric.LeaseTTL,
+		},
+		verbose:           *verbose,
+		heartbeatPath:     *heartbeatPath,
+		heartbeatInterval: *heartbeatInterval,
+		metricsAddr:       *metricsAddr,
+	}
+	if explicit["addr"] {
+		srv.addr = *addr
+	}
+	if srv.addr == "" {
+		srv.addr = "127.0.0.1:0"
+	}
+	if explicit["lease-size"] {
+		srv.opts.LeaseSize = *leaseSize
+	}
+	if explicit["lease-ttl"] {
+		srv.opts.LeaseTTL = *leaseTTL
+	}
 	dir := parsed.Fabric.Dir
 	if explicit["dir"] {
 		dir = *dirFlag
 	}
 	if dir != "" {
-		return runServeSubmitMode(ctx, stdout, explicit, parsed, serveSubmitFlags{
-			dir: dir, addr: *addr, leaseSize: *leaseSize, leaseTTL: *leaseTTL,
-			fairnessCap: *fairnessCap, resume: *resume, verbose: *verbose,
-			heartbeatPath: *heartbeatPath, heartbeatInterval: *heartbeatInterval,
-			metricsAddr: *metricsAddr,
-		})
+		srv.opts.Dir = dir
+		srv.opts.Resume = *resume
+		srv.opts.FairnessCap = parsed.Fabric.FairnessCap
+		if explicit["fairness-cap"] {
+			srv.opts.FairnessCap = *fairnessCap
+		}
+		return runServeSubmitMode(ctx, stdout, srv)
 	}
 	if *cfgPath == "" {
 		return fmt.Errorf("serve: -config is required")
@@ -747,37 +717,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if *resultsPath == "" {
 		return fmt.Errorf("serve: -results is required")
 	}
-
-	matrixMode := len(parsed.Cells) > 0
-	base, total := 0, 0
-	if matrixMode {
-		base = parsed.Cells[0].Setup.Base
-		for _, cell := range parsed.Cells {
-			total += cell.Setup.NumExperiments()
-		}
-	} else {
-		base = parsed.Campaign.Base
-		total = parsed.Campaign.NumExperiments()
+	grid, err := runner.NewGrid(parsed.Grid())
+	if err != nil {
+		return err
 	}
-	if total == 0 {
-		return fmt.Errorf("serve: the config describes an empty campaign grid")
-	}
-
-	listenAddr := parsed.Fabric.Addr
-	if explicit["addr"] {
-		listenAddr = *addr
-	}
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	size := parsed.Fabric.LeaseSize
-	if explicit["lease-size"] {
-		size = *leaseSize
-	}
-	ttl := parsed.Fabric.LeaseTTL
-	if explicit["lease-ttl"] {
-		ttl = *leaseTTL
-	}
+	total := grid.Size()
 	budget := parsed.Runtime.MaxFailures
 	if explicit["max-failures"] {
 		budget = *maxFailures
@@ -791,7 +735,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	// disk, "which file was refused" must never be ambiguous.
 	prefix := 0
 	if *resume {
-		p, err := runner.ReadMergedPrefix(*resultsPath, *quarantinePath, base, total)
+		p, err := runner.ReadMergedPrefix(*resultsPath, *quarantinePath, grid.Base(), total)
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
@@ -804,94 +748,51 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 			appendMode = true
 		}
 	}
+	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
 	openOut := func(path string) (*os.File, error) {
 		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 		if appendMode {
 			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 		}
-		return os.OpenFile(path, mode, 0o644)
+		f, err := os.OpenFile(path, mode, 0o644)
+		if err == nil {
+			files = append(files, f)
+		}
+		return f, err
 	}
-	resultsFile, err := openOut(*resultsPath)
-	if err != nil {
-		return err
-	}
-	defer resultsFile.Close()
-	var quarantineOut io.Writer
-	if *quarantinePath != "" {
-		qf, err := openOut(*quarantinePath)
-		if err != nil {
+
+	srv.opts.FinishWhenDone = true
+	var id string
+	svc, err := srv.run(ctx, stdout, func(svc *fabric.Service) error {
+		spec := fabric.CampaignSpec{
+			ConfigJSON:   cfgJSON,
+			MaxFailures:  budget,
+			ResumePrefix: prefix,
+			NoHeader:     appendMode,
+		}
+		var err error
+		if spec.Results, err = openOut(*resultsPath); err != nil {
 			return err
 		}
-		defer qf.Close()
-		quarantineOut = qf
-	}
-
-	reg := obs.NewRegistry()
-	if *metricsAddr != "" {
-		srv, err := obs.NewServer(*metricsAddr, reg)
-		if err != nil {
-			return fmt.Errorf("serve: metrics listener: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
-	}
-	var hb *obs.Heartbeat
-	if *heartbeatPath != "" {
-		hb = obs.NewHeartbeat(*heartbeatPath, *heartbeatInterval, reg.Snapshot)
-		if err := hb.Start(); err != nil {
-			return fmt.Errorf("serve: heartbeat: %w", err)
-		}
-		defer func() {
-			if herr := hb.Stop(); herr != nil {
-				fmt.Fprintln(os.Stderr, "comfase: heartbeat:", herr)
+		if *quarantinePath != "" {
+			if spec.Quarantine, err = openOut(*quarantinePath); err != nil {
+				return err
 			}
-		}()
-	}
-	var logf func(string, ...any)
-	if *verbose {
-		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
-	}
-
-	svc, err := fabric.NewService(fabric.ServiceOptions{
-		LeaseSize:      size,
-		LeaseTTL:       ttl,
-		FinishWhenDone: true,
-		Metrics:        reg,
-		Logf:           logf,
+		}
+		id, err = svc.AddCampaign(spec)
+		return err
+	}, func(_ *fabric.Service, addr net.Addr) {
+		fmt.Fprintf(stdout, "fabric coordinator on http://%s: %d grid points (%d resumed), lease TTL %v\n",
+			addr, total, prefix, ttlOrDefault(srv.opts.LeaseTTL))
 	})
-	if err != nil {
+	if svc == nil {
 		return err
 	}
-	id, err := svc.AddCampaign(fabric.CampaignSpec{
-		ConfigJSON:   cfgJSON,
-		Base:         base,
-		Total:        total,
-		Matrix:       matrixMode,
-		MaxFailures:  budget,
-		ResumePrefix: prefix,
-		Results:      resultsFile,
-		NoHeader:     appendMode,
-		Quarantine:   quarantineOut,
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return fmt.Errorf("serve: listen: %w", err)
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	fmt.Fprintf(stdout, "fabric coordinator on http://%s: %d grid points (%d resumed), lease TTL %v\n",
-		ln.Addr(), total, prefix, ttlOrDefault(ttl))
-	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
-
-	err = svc.Wait(ctx)
-	// Keep the socket up until live workers have been told the run is
-	// over (bounded by one TTL); killing it mid-poll would make a clean
-	// finish look like a dead coordinator on their side.
-	svc.Linger()
 	st, _ := svc.CampaignStatusByID(id)
 	switch {
 	case errors.Is(err, fabric.ErrDrained):
@@ -904,6 +805,79 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "campaign complete: %d grid points merged to %s (%d quarantined)\n",
 		st.Merged, *resultsPath, st.Failures)
 	return nil
+}
+
+// fabricServer is what both serve modes share: the metrics registry
+// with its optional HTTP endpoint and heartbeat file, verbose event
+// logging, and the HTTP listener the service runs behind.
+type fabricServer struct {
+	addr              string
+	opts              fabric.ServiceOptions // Metrics and Logf are filled in by run
+	verbose           bool
+	heartbeatPath     string
+	heartbeatInterval time.Duration
+	metricsAddr       string
+}
+
+// run starts the metrics endpoint and heartbeat, builds the service and
+// hands it to add (the serve mode's campaign set-up), serves it on the
+// listener, prints the mode's banner and the worker hint, and waits for
+// the service to finish. It keeps the socket up afterwards until live
+// workers have been told the run is over (bounded by one TTL), so a
+// clean finish does not look like a dead coordinator on their side. The
+// returned service is nil when set-up failed; otherwise the error is
+// Wait's.
+func (f fabricServer) run(ctx context.Context, stdout io.Writer, add func(*fabric.Service) error, banner func(*fabric.Service, net.Addr)) (*fabric.Service, error) {
+	if f.heartbeatInterval < 0 {
+		return nil, fmt.Errorf("serve: negative -heartbeat-interval %v", f.heartbeatInterval)
+	}
+	reg := obs.NewRegistry()
+	if f.metricsAddr != "" {
+		srv, err := obs.NewServer(f.metricsAddr, reg)
+		if err != nil {
+			return nil, fmt.Errorf("serve: metrics listener: %w", err)
+		}
+		defer srv.Close()
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
+	}
+	if f.heartbeatPath != "" {
+		hb := obs.NewHeartbeat(f.heartbeatPath, f.heartbeatInterval, reg.Snapshot)
+		if err := hb.Start(); err != nil {
+			return nil, fmt.Errorf("serve: heartbeat: %w", err)
+		}
+		defer func() {
+			if herr := hb.Stop(); herr != nil {
+				fmt.Fprintln(os.Stderr, "comfase: heartbeat:", herr)
+			}
+		}()
+	}
+	opts := f.opts
+	opts.Metrics = reg
+	if f.verbose {
+		opts.Logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
+	}
+	svc, err := fabric.NewService(opts)
+	if err != nil {
+		return nil, err
+	}
+	if add != nil {
+		if err := add(svc); err != nil {
+			return nil, err
+		}
+	}
+	ln, err := net.Listen("tcp", f.addr)
+	if err != nil {
+		return nil, fmt.Errorf("serve: listen: %w", err)
+	}
+	httpSrv := &http.Server{Handler: svc.Handler()}
+	go httpSrv.Serve(ln)
+	defer httpSrv.Close()
+	banner(svc, ln.Addr())
+	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
+
+	err = svc.Wait(ctx)
+	svc.Linger()
+	return svc, err
 }
 
 // ttlOrDefault mirrors the coordinator's TTL defaulting for log output.

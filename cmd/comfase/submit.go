@@ -19,104 +19,23 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"comfase/internal/config"
 	"comfase/internal/fabric"
-	"comfase/internal/obs"
 )
-
-// serveSubmitFlags carries the serve flags relevant to submit mode.
-type serveSubmitFlags struct {
-	dir               string
-	addr              string
-	leaseSize         int
-	leaseTTL          time.Duration
-	fairnessCap       int
-	resume            bool
-	verbose           bool
-	heartbeatPath     string
-	heartbeatInterval time.Duration
-	metricsAddr       string
-}
 
 // runServeSubmitMode runs `comfase serve` as a multi-campaign service:
 // campaigns arrive over /v1/campaigns, every campaign's artifacts live
 // in the service directory, and SIGINT drains — leaving queued and
 // half-done campaigns resumable with -resume.
-func runServeSubmitMode(ctx context.Context, stdout io.Writer, explicit map[string]bool, parsed *config.Parsed, f serveSubmitFlags) error {
-	listenAddr := parsed.Fabric.Addr
-	if explicit["addr"] {
-		listenAddr = f.addr
-	}
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	size := parsed.Fabric.LeaseSize
-	if explicit["lease-size"] {
-		size = f.leaseSize
-	}
-	ttl := parsed.Fabric.LeaseTTL
-	if explicit["lease-ttl"] {
-		ttl = f.leaseTTL
-	}
-	cap := parsed.Fabric.FairnessCap
-	if explicit["fairness-cap"] {
-		cap = f.fairnessCap
-	}
-
-	reg := obs.NewRegistry()
-	if f.metricsAddr != "" {
-		srv, err := obs.NewServer(f.metricsAddr, reg)
-		if err != nil {
-			return fmt.Errorf("serve: metrics listener: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
-	}
-	if f.heartbeatPath != "" {
-		hb := obs.NewHeartbeat(f.heartbeatPath, f.heartbeatInterval, reg.Snapshot)
-		if err := hb.Start(); err != nil {
-			return fmt.Errorf("serve: heartbeat: %w", err)
-		}
-		defer func() {
-			if herr := hb.Stop(); herr != nil {
-				fmt.Fprintln(os.Stderr, "comfase: heartbeat:", herr)
-			}
-		}()
-	}
-	var logf func(string, ...any)
-	if f.verbose {
-		logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
-	}
-
-	svc, err := fabric.NewService(fabric.ServiceOptions{
-		Dir:         f.dir,
-		Resume:      f.resume,
-		LeaseSize:   size,
-		LeaseTTL:    ttl,
-		FairnessCap: cap,
-		Metrics:     reg,
-		Logf:        logf,
+func runServeSubmitMode(ctx context.Context, stdout io.Writer, srv fabricServer) error {
+	dir := srv.opts.Dir
+	svc, err := srv.run(ctx, stdout, nil, func(svc *fabric.Service, addr net.Addr) {
+		fmt.Fprintf(stdout, "fabric campaign service on http://%s: %d campaign(s) in %s, lease TTL %v\n",
+			addr, len(svc.ListCampaigns()), dir, ttlOrDefault(srv.opts.LeaseTTL))
+		fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator http://%s -config FILE\n", addr)
 	})
-	if err != nil {
+	if svc == nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return fmt.Errorf("serve: listen: %w", err)
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	fmt.Fprintf(stdout, "fabric campaign service on http://%s: %d campaign(s) in %s, lease TTL %v\n",
-		ln.Addr(), len(svc.ListCampaigns()), f.dir, ttlOrDefault(ttl))
-	fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator http://%s -config FILE\n", ln.Addr())
-	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
-
-	err = svc.Wait(ctx)
-	// Keep the socket up until live workers have been told the service is
-	// draining (bounded by one TTL), so a clean drain does not look like a
-	// dead coordinator on their side.
-	svc.Linger()
 	switch {
 	case errors.Is(err, fabric.ErrDrained):
 		remaining := 0
@@ -126,12 +45,12 @@ func runServeSubmitMode(ctx context.Context, stdout io.Writer, explicit map[stri
 			}
 		}
 		fmt.Fprintf(stdout, "service drained: %d campaign(s) incomplete; configs and merged prefixes are in %s — continue with -resume\n",
-			remaining, f.dir)
+			remaining, dir)
 		return errInterrupted
 	case err != nil:
 		return err
 	}
-	fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(svc.ListCampaigns()), f.dir)
+	fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(svc.ListCampaigns()), dir)
 	return nil
 }
 

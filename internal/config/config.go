@@ -598,16 +598,27 @@ type File struct {
 	Fabric FabricConfig `json:"fabric,omitempty"`
 }
 
-// Parsed is the fully built experiment configuration. Exactly one of
-// Campaign (with Engine) or Cells is populated: a matrix file yields
-// Cells and leaves Engine/Campaign zero.
+// Parsed is the fully built experiment configuration. Grid returns the
+// campaign grid whatever the file's shape; a single-campaign file also
+// populates Engine and Campaign (a matrix file leaves them zero).
 type Parsed struct {
 	Seed     uint64
 	Engine   core.EngineConfig
 	Campaign core.CampaignSetup
-	Cells    []runner.MatrixCell
 	Runtime  RuntimeSettings
 	Fabric   FabricSettings
+
+	cells []runner.MatrixCell // matrix files only
+}
+
+// Grid returns the campaign grid as runner cells: the matrix cells, or
+// for a single-campaign file one cell with an empty scenario label. The
+// slice is the caller's to modify (engine overrides, metrics).
+func (p *Parsed) Grid() []runner.MatrixCell {
+	if len(p.cells) > 0 {
+		return append([]runner.MatrixCell(nil), p.cells...)
+	}
+	return []runner.MatrixCell{{Attack: p.Campaign.Attack, Engine: p.Engine, Setup: p.Campaign}}
 }
 
 // ControllerFactory maps a controller name to a factory.
@@ -650,16 +661,16 @@ func BuildFile(f File) (*Parsed, error) {
 	if err != nil {
 		return nil, err
 	}
+	rt, err := f.Runtime.Build()
+	if err != nil {
+		return nil, err
+	}
+	p := &Parsed{Seed: seed, Runtime: rt, Fabric: fb}
 	if f.Matrix != nil {
-		cells, err := buildMatrix(f, seed)
-		if err != nil {
+		if p.cells, err = buildMatrix(f, seed); err != nil {
 			return nil, err
 		}
-		rt, err := f.Runtime.Build()
-		if err != nil {
-			return nil, err
-		}
-		return &Parsed{Seed: seed, Cells: cells, Runtime: rt, Fabric: fb}, nil
+		return p, nil
 	}
 	ts, err := f.Scenario.Build()
 	if err != nil {
@@ -673,30 +684,27 @@ func BuildFile(f File) (*Parsed, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup, err := f.Campaign.Build()
-	if err != nil {
+	if p.Campaign, err = f.Campaign.Build(); err != nil {
 		return nil, err
 	}
-	rt, err := f.Runtime.Build()
-	if err != nil {
-		return nil, err
+	p.Engine = f.Runtime.engineConfig(seed, ts, cm, factory)
+	return p, nil
+}
+
+// engineConfig maps the runtime section's engine knobs onto an engine
+// for the given scenario — the one mapping single-campaign files and
+// every matrix cell share.
+func (r RuntimeConfig) engineConfig(seed uint64, ts scenario.TrafficScenario, cm scenario.CommModel, ctrl scenario.ControllerFactory) core.EngineConfig {
+	return core.EngineConfig{
+		Scenario:           ts,
+		Comm:               cm,
+		Controllers:        ctrl,
+		Seed:               seed,
+		CancelCheckEvents:  r.CancelCheckEvents,
+		Invariants:         r.Invariants,
+		EventBudget:        r.EventBudget,
+		EarlyExit:          r.EarlyExit,
+		EarlyExitTolerance: r.EarlyExitToleranceMps,
+		EarlyExitHold:      des.FromSeconds(r.EarlyExitHoldS),
 	}
-	return &Parsed{
-		Seed: seed,
-		Engine: core.EngineConfig{
-			Scenario:           ts,
-			Comm:               cm,
-			Controllers:        factory,
-			Seed:               seed,
-			CancelCheckEvents:  f.Runtime.CancelCheckEvents,
-			Invariants:         f.Runtime.Invariants,
-			EventBudget:        f.Runtime.EventBudget,
-			EarlyExit:          f.Runtime.EarlyExit,
-			EarlyExitTolerance: f.Runtime.EarlyExitToleranceMps,
-			EarlyExitHold:      des.FromSeconds(f.Runtime.EarlyExitHoldS),
-		},
-		Campaign: setup,
-		Runtime:  rt,
-		Fabric:   fb,
-	}, nil
 }

@@ -236,6 +236,13 @@ func TestParseFullDocument(t *testing.T) {
 	if p.Engine.Scenario.TotalSimTime != 60*des.Second {
 		t.Errorf("sim time = %v", p.Engine.Scenario.TotalSimTime)
 	}
+	// A single-campaign file is a one-cell grid with no scenario label.
+	cells := p.Grid()
+	if len(cells) != 1 || cells[0].Scenario != "" || cells[0].Attack != "delay" ||
+		cells[0].Setup.NumExperiments() != 11250 || cells[0].Engine.Seed != 7 {
+		t.Errorf("Grid() = %d cell(s), first %q/%q n=%d seed=%d; want one unlabeled delay cell",
+			len(cells), cells[0].Scenario, cells[0].Attack, cells[0].Setup.NumExperiments(), cells[0].Engine.Seed)
+	}
 }
 
 func TestParseFabricSection(t *testing.T) {

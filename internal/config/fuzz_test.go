@@ -33,9 +33,9 @@ func FuzzParse(f *testing.F) {
 		if p.Seed == 0 {
 			t.Errorf("accepted config with zero seed")
 		}
-		if len(p.Cells) > 0 {
+		if len(p.cells) > 0 {
 			// Matrix config: the per-cell setups carry the invariants.
-			validateCells(t, p.Cells)
+			validateCells(t, p.Grid())
 			return
 		}
 		if err := p.Engine.Scenario.Validate(); err != nil {
@@ -105,20 +105,22 @@ func FuzzMatrixConfigDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(p.Cells) == 0 {
+		if len(p.cells) == 0 {
 			return
 		}
-		validateCells(t, p.Cells)
+		cells := p.Grid()
+		validateCells(t, cells)
 		// Determinism: the same document expands to the same grid.
 		again, err := Parse(strings.NewReader(doc))
 		if err != nil {
 			t.Fatalf("second parse rejected an accepted document: %v", err)
 		}
-		if len(again.Cells) != len(p.Cells) {
-			t.Fatalf("re-expansion has %d cells, want %d", len(again.Cells), len(p.Cells))
+		againCells := again.Grid()
+		if len(againCells) != len(cells) {
+			t.Fatalf("re-expansion has %d cells, want %d", len(againCells), len(cells))
 		}
-		for i := range p.Cells {
-			a, b := p.Cells[i], again.Cells[i]
+		for i := range cells {
+			a, b := cells[i], againCells[i]
 			if a.Scenario != b.Scenario || a.Attack != b.Attack || a.Setup.Base != b.Setup.Base ||
 				a.Setup.NumExperiments() != b.Setup.NumExperiments() {
 				t.Errorf("cell %d differs across parses: %s/%s base=%d n=%d vs %s/%s base=%d n=%d",

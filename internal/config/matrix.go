@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"comfase/internal/core"
 	"comfase/internal/registry"
 	"comfase/internal/registry/param"
 	"comfase/internal/runner"
@@ -49,7 +48,7 @@ type MatrixConfig struct {
 
 // Build expands the matrix into runner cells. comm is the file-level
 // communication override applied to every cell (nil = each scenario's
-// own model); the engine knobs mirror BuildFile's single-campaign path.
+// own model); the engine knobs map exactly as for a single-campaign file.
 func (m MatrixConfig) Build(seed uint64, comm *CommConfig, rt RuntimeConfig) ([]runner.MatrixCell, error) {
 	spec := registry.Matrix{}
 	for _, s := range m.Scenarios {
@@ -103,19 +102,8 @@ func (m MatrixConfig) Build(seed uint64, comm *CommConfig, rt RuntimeConfig) ([]
 		out = append(out, runner.MatrixCell{
 			Scenario: c.Scenario,
 			Attack:   c.Attack,
-			Engine: core.EngineConfig{
-				Scenario:           c.Def.Traffic,
-				Comm:               cm,
-				Controllers:        c.Def.Controllers,
-				Seed:               seed,
-				CancelCheckEvents:  rt.CancelCheckEvents,
-				Invariants:         rt.Invariants,
-				EventBudget:        rt.EventBudget,
-				EarlyExit:          rt.EarlyExit,
-				EarlyExitTolerance: rt.EarlyExitToleranceMps,
-				EarlyExitHold:      des.FromSeconds(rt.EarlyExitHoldS),
-			},
-			Setup: c.Setup,
+			Engine:   rt.engineConfig(seed, c.Def.Traffic, cm, c.Def.Controllers),
+			Setup:    c.Setup,
 		})
 	}
 	return out, nil

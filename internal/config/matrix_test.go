@@ -33,8 +33,9 @@ func TestParseMatrixDocument(t *testing.T) {
 	if p.Seed != 7 {
 		t.Errorf("Seed = %d, want 7", p.Seed)
 	}
-	if len(p.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4 (2 scenarios x 2 attacks)", len(p.Cells))
+	cells := p.Grid()
+	if len(cells) != 4 {
+		t.Fatalf("got %d cells, want 4 (2 scenarios x 2 attacks)", len(cells))
 	}
 	wantCells := []struct {
 		scenario, attack string
@@ -46,7 +47,7 @@ func TestParseMatrixDocument(t *testing.T) {
 		{"platoon-8", "dos", 9, 1},
 	}
 	for i, want := range wantCells {
-		cell := p.Cells[i]
+		cell := cells[i]
 		if cell.Scenario != want.scenario || cell.Attack != want.attack {
 			t.Errorf("cell %d = %s/%s, want %s/%s", i, cell.Scenario, cell.Attack, want.scenario, want.attack)
 		}
@@ -64,8 +65,8 @@ func TestParseMatrixDocument(t *testing.T) {
 			t.Errorf("cell %d setup invalid: %v", i, err)
 		}
 	}
-	if p.Cells[2].Engine.Scenario.NrVehicles != 8 {
-		t.Errorf("platoon-8 engine has %d vehicles, want 8", p.Cells[2].Engine.Scenario.NrVehicles)
+	if cells[2].Engine.Scenario.NrVehicles != 8 {
+		t.Errorf("platoon-8 engine has %d vehicles, want 8", cells[2].Engine.Scenario.NrVehicles)
 	}
 	// Matrix documents leave the single-campaign fields zero.
 	if p.Campaign.NumExperiments() != 0 {
@@ -128,7 +129,7 @@ func TestMatrixCommOverrideAppliesToAllCells(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	for i, cell := range p.Cells {
+	for i, cell := range p.Grid() {
 		if got := cell.Engine.Comm.BeaconInterval.Seconds(); got != 0.2 {
 			t.Errorf("cell %d beacon interval = %v s, want 0.2", i, got)
 		}

@@ -2,14 +2,17 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"comfase/internal/core"
+	"comfase/internal/phy"
 	"comfase/internal/runner"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
+	"comfase/internal/sim/rng"
 )
 
 // The campaign loop lives in runner.Runner; these tests pin the
@@ -105,5 +108,40 @@ func TestParallelProgressMonotonic(t *testing.T) {
 		if d != i+1 {
 			t.Fatalf("progress done sequence %v not monotonically increasing", dones)
 		}
+	}
+}
+
+// TestBeginGroupRejectsFadingChannel: a fading channel cannot be
+// checkpointed, so BeginGroup refuses it — and the runner, which tries
+// a group session for every multi-experiment same-start group, must
+// fall back to fresh builds and still complete the grid.
+func TestBeginGroupRejectsFadingChannel(t *testing.T) {
+	ts := scenario.PaperScenario()
+	ts.TotalSimTime = 30 * des.Second
+	comm := scenario.PaperCommModel()
+	comm.Channel.Fading = phy.NewNakagamiFading(rng.New(1, "fading"))
+	eng, err := core.NewEngine(core.EngineConfig{Scenario: ts, Comm: comm, Seed: 7})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if _, err := eng.BeginGroup(context.Background(), 19*des.Second); !errors.Is(err, core.ErrNotCheckpointable) {
+		t.Fatalf("err = %v, want ErrNotCheckpointable", err)
+	}
+	r, err := runner.New(eng, runner.Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("runner.New: %v", err)
+	}
+	res, err := r.Run(context.Background(), core.CampaignSetup{
+		Attack:    "delay",
+		Targets:   []string{"vehicle.2"},
+		Values:    []float64{0.4},
+		Starts:    []des.Time{19 * des.Second},
+		Durations: []des.Time{2 * des.Second, 5 * des.Second},
+	})
+	if err != nil {
+		t.Fatalf("fallback Run: %v", err)
+	}
+	if len(res.Experiments) != 2 || len(res.Failures) != 0 {
+		t.Errorf("fallback completed %d experiments (%d failed), want 2", len(res.Experiments), len(res.Failures))
 	}
 }

@@ -436,55 +436,3 @@ func (gs *GroupSession) Close() {
 	gs.sim = nil
 	gs.scratch = nil
 }
-
-// RunExperimentGroup executes a group of experiments sharing one attack
-// start time, forking them from a single prefix checkpoint. Experiments
-// whose forked run fails — and whole groups whose prefix cannot be
-// checkpointed (scenario.ErrNotCheckpointable) or fails — transparently
-// fall back to the fresh-build path, so the call succeeds whenever plain
-// per-experiment execution would. Results are returned in spec order.
-// (The runner's trie mode additionally orders value chains by duration
-// and uses RunExperimentChained; this convenience API keeps spec order
-// and root forking.)
-func (e *Engine) RunExperimentGroup(ctx context.Context, specs []ExperimentSpec) ([]ExperimentResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	for _, s := range specs[1:] {
-		if s.Start != specs[0].Start {
-			return nil, fmt.Errorf("core: experiment group mixes start times %v and %v",
-				specs[0].Start, s.Start)
-		}
-	}
-	gs, err := e.BeginGroup(ctx, specs[0].Start)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		gs = nil // prefix failed: run the whole group fresh
-	} else {
-		defer gs.Close()
-	}
-	out := make([]ExperimentResult, 0, len(specs))
-	for _, spec := range specs {
-		if gs != nil && gs.Healthy() {
-			res, err := gs.RunExperiment(ctx, spec)
-			if err == nil {
-				out = append(out, res)
-				continue
-			}
-			if ctx.Err() != nil {
-				return out, err
-			}
-			// Fall through: retry this sibling fresh. Deterministic
-			// failures (invariant hits, budget exhaustion) reproduce there
-			// and surface exactly as they would without checkpointing.
-		}
-		res, err := e.RunExperimentCtx(ctx, spec)
-		if err != nil {
-			return out, fmt.Errorf("experiment %v: %w", spec, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

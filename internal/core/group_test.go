@@ -9,11 +9,9 @@ import (
 
 	"comfase/internal/mac"
 	"comfase/internal/nic"
-	"comfase/internal/phy"
 	"comfase/internal/platoon"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
-	"comfase/internal/sim/rng"
 )
 
 // groupEngine returns an engine on a shortened paper scenario so group
@@ -80,24 +78,7 @@ func TestGroupForkMatchesFreshRuns(t *testing.T) {
 		want[i] = res
 	}
 
-	forked := groupEngine(t, nil)
-	gs, err := forked.BeginGroup(context.Background(), specs[0].Start)
-	if err != nil {
-		t.Fatalf("BeginGroup: %v", err)
-	}
-	defer gs.Close()
-	for i, spec := range specs {
-		res, err := gs.RunExperiment(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("forked %v: %v", spec, err)
-		}
-		if !resultsEqual(res, want[i]) {
-			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", spec.Nr, want[i], res)
-		}
-	}
-	if !gs.Healthy() {
-		t.Error("session unexpectedly poisoned")
-	}
+	checkForkedGroup(t, context.Background(), groupEngine(t, nil), specs, want)
 }
 
 func TestGroupForkMatchesFreshWithBudgetAndInvariants(t *testing.T) {
@@ -124,17 +105,30 @@ func TestGroupForkMatchesFreshWithBudgetAndInvariants(t *testing.T) {
 	}
 
 	forked := groupEngine(t, mut)
-	got, err := forked.RunExperimentGroup(ctx, specs)
+	checkForkedGroup(t, ctx, forked, specs, want)
+}
+
+// checkForkedGroup runs the same-start specs through one group session
+// and requires each forked result to equal the fresh one bit for bit,
+// with the session still healthy afterwards.
+func checkForkedGroup(t *testing.T, ctx context.Context, eng *Engine, specs []ExperimentSpec, want []ExperimentResult) {
+	t.Helper()
+	gs, err := eng.BeginGroup(ctx, specs[0].Start)
 	if err != nil {
-		t.Fatalf("RunExperimentGroup: %v", err)
+		t.Fatalf("BeginGroup: %v", err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !resultsEqual(got[i], want[i]) {
-			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", want[i].Spec.Nr, want[i], got[i])
+	defer gs.Close()
+	for i, spec := range specs {
+		res, err := gs.RunExperiment(ctx, spec)
+		if err != nil {
+			t.Fatalf("forked %v: %v", spec, err)
 		}
+		if !resultsEqual(res, want[i]) {
+			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", spec.Nr, want[i], res)
+		}
+	}
+	if !gs.Healthy() {
+		t.Error("session unexpectedly poisoned")
 	}
 }
 
@@ -160,31 +154,7 @@ func TestGroupForkMatchesFreshJamming(t *testing.T) {
 		want[i] = res
 	}
 
-	forked := groupEngine(t, nil)
-	got, err := forked.RunExperimentGroup(context.Background(), specs)
-	if err != nil {
-		t.Fatalf("RunExperimentGroup: %v", err)
-	}
-	for i := range got {
-		if !resultsEqual(got[i], want[i]) {
-			t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", want[i].Spec.Nr, want[i], got[i])
-		}
-	}
-}
-
-func TestBeginGroupRejectsFadingChannel(t *testing.T) {
-	eng := groupEngine(t, func(cfg *EngineConfig) {
-		cfg.Comm.Channel.Fading = phy.NewNakagamiFading(rng.New(1, "fading"))
-	})
-	_, err := eng.BeginGroup(context.Background(), 19*des.Second)
-	if !errors.Is(err, ErrNotCheckpointable) {
-		t.Fatalf("err = %v, want ErrNotCheckpointable", err)
-	}
-	// The fallback wrapper must still complete the group.
-	specs := groupSpecs(19 * des.Second)[:1]
-	if _, err := eng.RunExperimentGroup(context.Background(), specs); err != nil {
-		t.Fatalf("RunExperimentGroup fallback: %v", err)
-	}
+	checkForkedGroup(t, context.Background(), groupEngine(t, nil), specs, want)
 }
 
 // hiddenStateController wraps a CACC but hides its state interface,

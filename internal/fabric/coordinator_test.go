@@ -70,15 +70,34 @@ func testRows(from, to int, tag string) []ResultRow {
 	return rows
 }
 
+// gridConfig is a delay campaign config whose grid has total points
+// (one start, one duration, total values); with matrix set it is the
+// same attack as a one-scenario matrix, which selects the matrix CSV
+// schema. The coordinator tests fake every execution, so only the grid
+// geometry matters.
+func gridConfig(total int, matrix bool) []byte {
+	values := make([]string, total)
+	for i := range values {
+		values[i] = strconv.Itoa(i + 1)
+	}
+	attack := `"valuesS": {"values": [` + strings.Join(values, ",") + `]},
+	  "startTimesS": {"values": [17]}, "durationsS": {"values": [1]}`
+	if matrix {
+		return []byte(`{"matrix": {"scenarios": [{"name": "paper-platoon"}],
+	  "attacks": [{"name": "delay", ` + attack + `}]}}`)
+	}
+	return []byte(`{"campaign": {"attack": "delay", ` + attack + `}}`)
+}
+
 // newTestCoordinator builds the single-campaign service `comfase serve
 // -config` runs: FinishWhenDone, and one campaign (ID "c1") added with
-// caller-owned writers. A nil ConfigJSON or Results gets a stub config
-// and the returned buffer.
-func newTestCoordinator(t *testing.T, opts ServiceOptions, spec CampaignSpec) (*Service, *bytes.Buffer) {
+// caller-owned writers. The config's grid must have total points; a nil
+// ConfigJSON gets gridConfig(total), a nil Results the returned buffer.
+func newTestCoordinator(t *testing.T, opts ServiceOptions, total int, spec CampaignSpec) (*Service, *bytes.Buffer) {
 	t.Helper()
 	var out bytes.Buffer
 	if spec.ConfigJSON == nil {
-		spec.ConfigJSON = []byte(`{}`)
+		spec.ConfigJSON = gridConfig(total, false)
 	}
 	if spec.Results == nil {
 		spec.Results = &out
@@ -90,6 +109,9 @@ func newTestCoordinator(t *testing.T, opts ServiceOptions, spec CampaignSpec) (*
 	}
 	if id, err := svc.AddCampaign(spec); err != nil || id != "c1" {
 		t.Fatalf("AddCampaign = %q, %v; want c1", id, err)
+	}
+	if st, _ := svc.CampaignStatusByID("c1"); st.Total != total {
+		t.Fatalf("campaign grid = %d points, want %d", st.Total, total)
 	}
 	return svc, &out
 }
@@ -122,7 +144,7 @@ func waitDone(t *testing.T, c *Service) error {
 }
 
 func TestCoordinatorFrontierOrder(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 6, NoHeader: true})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 6, CampaignSpec{NoHeader: true})
 	h := c.Handler()
 	w1 := register(t, h)
 	l0 := lease(t, h, w1) // [0,2)
@@ -170,7 +192,7 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 	clock := newFakeClock()
 	reg := obs.NewRegistry()
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Now: clock.Now, Metrics: reg}, CampaignSpec{Total: 4, NoHeader: true, MaxFailures: -1})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Now: clock.Now, Metrics: reg}, 4, CampaignSpec{NoHeader: true, MaxFailures: -1})
 	h := c.Handler()
 	w1 := register(t, h)
 	w2 := register(t, h)
@@ -234,7 +256,7 @@ func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 }
 
 func TestCoordinatorCoverageRejected(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 4, NoHeader: true})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 4, CampaignSpec{NoHeader: true})
 	h := c.Handler()
 	w1 := register(t, h)
 	l := lease(t, h, w1)
@@ -267,7 +289,7 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 }
 
 func TestCoordinatorResumePrefix(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 6, NoHeader: true, ResumePrefix: 3})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 6, CampaignSpec{NoHeader: true, ResumePrefix: 3})
 	if got := merged(t, c); got != 3 {
 		t.Fatalf("resumed Merged = %d, want 3", got)
 	}
@@ -295,7 +317,7 @@ func TestCoordinatorResumePrefix(t *testing.T) {
 }
 
 func TestCoordinatorResumeComplete(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 4, NoHeader: true, ResumePrefix: 4})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 4, CampaignSpec{NoHeader: true, ResumePrefix: 4})
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait on a fully resumed grid: %v", err)
 	}
@@ -306,7 +328,7 @@ func TestCoordinatorResumeComplete(t *testing.T) {
 
 func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 	var quarantine bytes.Buffer
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 4}, CampaignSpec{Total: 4, NoHeader: true, MaxFailures: 1, Quarantine: &quarantine})
+	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 4}, 4, CampaignSpec{NoHeader: true, MaxFailures: 1, Quarantine: &quarantine})
 	h := c.Handler()
 	w1 := register(t, h)
 	l := lease(t, h, w1)
@@ -342,7 +364,7 @@ func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 }
 
 func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
-	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 4, NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 4, CampaignSpec{NoHeader: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // immediate drain: nothing leased, nothing done
 	err := c.Wait(ctx)
@@ -359,7 +381,7 @@ func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
 func TestCoordinatorHeaderSchema(t *testing.T) {
 	runGrid := func(matrix, fail bool) string {
 		t.Helper()
-		c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, CampaignSpec{Total: 1, Matrix: matrix, MaxFailures: -1})
+		c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, 1, CampaignSpec{ConfigJSON: gridConfig(1, matrix), MaxFailures: -1})
 		h := c.Handler()
 		w1 := register(t, h)
 		l := lease(t, h, w1)
@@ -393,7 +415,7 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 		t.Errorf("all-failure output = %q, want empty (lazy header)", got)
 	}
 	// Resuming a complete grid must not append a second header.
-	c, out := newTestCoordinator(t, ServiceOptions{}, CampaignSpec{Total: 1, ResumePrefix: 1})
+	c, out := newTestCoordinator(t, ServiceOptions{}, 1, CampaignSpec{ResumePrefix: 1})
 	if err := waitDone(t, c); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +425,7 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 }
 
 func TestCoordinatorStatus(t *testing.T) {
-	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 6, NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 6, CampaignSpec{NoHeader: true})
 	h := c.Handler()
 	w1 := register(t, h)
 	lease(t, h, w1)
@@ -427,10 +449,11 @@ func TestCoordinatorStatus(t *testing.T) {
 func TestAddCampaignRejectsBadSpec(t *testing.T) {
 	var out bytes.Buffer
 	for name, spec := range map[string]CampaignSpec{
-		"no config":       {Total: 2, Results: &out},
-		"invalid config":  {ConfigJSON: []byte(`{`), Total: 2, Results: &out},
-		"no results":      {ConfigJSON: []byte(`{}`), Total: 2},
-		"resume past end": {ConfigJSON: []byte(`{}`), Total: 2, ResumePrefix: 3, Results: &out},
+		"no config":       {Results: &out},
+		"invalid config":  {ConfigJSON: []byte(`{`), Results: &out},
+		"empty grid":      {ConfigJSON: []byte(`{}`), Results: &out},
+		"no results":      {ConfigJSON: gridConfig(2, false)},
+		"resume past end": {ConfigJSON: gridConfig(2, false), ResumePrefix: 3, Results: &out},
 	} {
 		svc, err := NewService(ServiceOptions{FinishWhenDone: true})
 		if err != nil {

@@ -32,15 +32,15 @@ type ExecutorOptions struct {
 	Metrics *obs.Registry
 }
 
-// campaignExecutor executes leased ranges through internal/runner with
+// campaignExecutor executes leased ranges through one runner.Grid with
 // Options.Range, preserving every execution feature of a local campaign
 // (checkpoint forking, trie chaining, retries, watchdogs) and therefore
-// the byte-identical-output invariant.
+// the byte-identical-output invariant. The Grid lives as long as the
+// executor, so every scenario engine is built and its golden run
+// simulated once per worker process, not once per lease.
 type campaignExecutor struct {
-	parsed *config.Parsed
-	base   runner.Options
-	matrix bool
-	eng    *core.Engine // lazily built; reused across leases
+	grid *runner.Grid
+	base runner.Options
 }
 
 // NewExecutor builds the production executor from the raw config JSON a
@@ -69,54 +69,40 @@ func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	if base.Workers == 0 {
 		base.Workers = -1 // all cores
 	}
-	matrix := len(parsed.Cells) > 0
-	parsed.Engine.Metrics = opts.Metrics
-	for i := range parsed.Cells {
-		parsed.Cells[i].Engine.Metrics = opts.Metrics
+	cells := parsed.Grid()
+	for i := range cells {
+		cells[i].Engine.Metrics = opts.Metrics
 	}
-	return &campaignExecutor{parsed: parsed, base: base, matrix: matrix}, nil
+	grid, err := runner.NewGrid(cells)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: coordinator config: %w", err)
+	}
+	return &campaignExecutor{grid: grid, base: base}, nil
 }
 
 // Execute implements Executor.
 func (e *campaignExecutor) Execute(ctx context.Context, from, to int) ([]ResultRow, []FailureRow, error) {
-	rs := &rowSink{matrix: e.matrix}
+	rs := &rowSink{}
 	fs := &failureSink{}
 	opts := e.base
 	opts.Range = runner.Range{From: from, To: to}
 	opts.Quarantine = fs
-	if e.matrix {
-		if _, err := runner.RunMatrix(ctx, e.parsed.Cells, opts, rs); err != nil {
-			return nil, nil, err
-		}
-		return rs.rows, fs.failures, nil
-	}
-	if e.eng == nil {
-		eng, err := core.NewEngine(e.parsed.Engine)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.eng = eng
-	}
-	r, err := runner.New(e.eng, opts, rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := r.Run(ctx, e.parsed.Campaign); err != nil {
+	if _, err := e.grid.Run(ctx, opts, rs); err != nil {
 		return nil, nil, err
 	}
 	return rs.rows, fs.failures, nil
 }
 
-// rowSink captures released results as wire rows. The runner releases in
-// grid order, so the rows arrive sorted by expNr.
+// rowSink captures released results as wire rows in the schema
+// runner.CSVSink would write them. The runner releases in grid order, so
+// the rows arrive sorted by expNr.
 type rowSink struct {
-	matrix bool
-	rows   []ResultRow
+	rows []ResultRow
 }
 
 func (s *rowSink) Put(res core.ExperimentResult) error {
 	var rec []string
-	if s.matrix {
+	if res.Spec.Scenario != "" {
 		rec = analysis.MatrixCSVRecord(res)
 	} else {
 		rec = analysis.ExperimentCSVRecord(res)

@@ -107,9 +107,8 @@ func TestFabricChaosEquivalence(t *testing.T) {
 		LeaseTTL:  400 * time.Millisecond,
 		Metrics:   reg,
 		Logf:      t.Logf,
-	}, CampaignSpec{
+	}, total, CampaignSpec{
 		ConfigJSON:  []byte(e2eConfig),
-		Total:       total,
 		Results:     &csvBuf,
 		Quarantine:  &qBuf,
 		MaxFailures: -1,
@@ -212,7 +211,7 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 
 	var csvBuf bytes.Buffer
 	coord, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 3, LeaseTTL: 2 * time.Second},
-		CampaignSpec{ConfigJSON: []byte(e2eConfig), Total: total, Results: &csvBuf})
+		total, CampaignSpec{ConfigJSON: []byte(e2eConfig), Results: &csvBuf})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

@@ -88,18 +88,15 @@ type ServiceOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// CampaignSpec describes a campaign added with AddCampaign: its grid
-// geometry and failure budget, and caller-owned output writers. Submitted
-// campaigns derive the same fields from their config and write their own
-// files under the service directory instead.
+// CampaignSpec describes a campaign added with AddCampaign: its config,
+// failure budget and caller-owned output writers. The grid geometry and
+// CSV schema come from the config. Submitted campaigns take their budget
+// from the config too and write their own files under the service
+// directory instead.
 type CampaignSpec struct {
 	// ConfigJSON is the raw campaign config file; it is shipped to
 	// workers with their first lease grant.
 	ConfigJSON []byte
-	// Base is the first expNr of the grid; Total the number of points.
-	Base, Total int
-	// Matrix selects the 11-column matrix CSV schema for the header.
-	Matrix bool
 	// MaxFailures is the campaign failure budget, with the runner's
 	// semantics: 0 aborts on the first quarantined experiment, negative
 	// is unlimited. Already-merged (resumed) failures do not count.
@@ -273,28 +270,18 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// gridDims derives the grid geometry and failure budget from a raw
-// campaign/matrix config file — the submit path's counterpart to what
-// `comfase serve` computes for its single grid.
-func gridDims(cfgJSON []byte) (base, total int, matrix bool, maxFailures int, err error) {
+// campaignGrid parses a raw campaign config into its grid and failure
+// budget; the grid supplies a campaign's geometry and CSV schema.
+func campaignGrid(cfgJSON []byte) (*runner.Grid, int, error) {
 	parsed, err := config.Parse(bytes.NewReader(cfgJSON))
 	if err != nil {
-		return 0, 0, false, 0, err
+		return nil, 0, err
 	}
-	if len(parsed.Cells) > 0 {
-		matrix = true
-		base = parsed.Cells[0].Setup.Base
-		for _, cell := range parsed.Cells {
-			total += cell.Setup.NumExperiments()
-		}
-	} else {
-		base = parsed.Campaign.Base
-		total = parsed.Campaign.NumExperiments()
+	grid, err := runner.NewGrid(parsed.Grid())
+	if err != nil {
+		return nil, 0, err
 	}
-	if total == 0 {
-		return 0, 0, false, 0, errors.New("fabric: the config describes an empty campaign grid")
-	}
-	return base, total, matrix, parsed.Runtime.MaxFailures, nil
+	return grid, parsed.Runtime.MaxFailures, nil
 }
 
 // Submit enqueues a new campaign from its raw config file, persists the
@@ -304,7 +291,7 @@ func (s *Service) Submit(name string, cfgJSON []byte) (SubmitResponse, error) {
 	if !s.submitMode {
 		return SubmitResponse{}, errors.New("fabric: campaign submission requires a service directory (start serve with -dir)")
 	}
-	base, total, matrix, budget, err := gridDims(cfgJSON)
+	grid, budget, err := campaignGrid(cfgJSON)
 	if err != nil {
 		return SubmitResponse{}, fmt.Errorf("fabric: submitted config: %w", err)
 	}
@@ -320,9 +307,7 @@ func (s *Service) Submit(name string, cfgJSON []byte) (SubmitResponse, error) {
 	if err := os.WriteFile(files.Config, cfgJSON, 0o644); err != nil {
 		return SubmitResponse{}, fmt.Errorf("fabric: persisting campaign config: %w", err)
 	}
-	c, err := s.addCampaign(id, name, CampaignSpec{
-		ConfigJSON: cfgJSON, Base: base, Total: total, Matrix: matrix, MaxFailures: budget,
-	})
+	c, err := s.addCampaign(id, name, CampaignSpec{ConfigJSON: cfgJSON, MaxFailures: budget}, grid)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
@@ -343,11 +328,11 @@ func (s *Service) resumeDir() error {
 		if err != nil {
 			return fmt.Errorf("fabric: campaign %s: %w", files.ID, err)
 		}
-		base, total, matrix, budget, err := gridDims(cfgJSON)
+		grid, budget, err := campaignGrid(cfgJSON)
 		if err != nil {
 			return fmt.Errorf("fabric: campaign %s config %s: %w", files.ID, files.Config, err)
 		}
-		prefix, err := runner.ReadMergedPrefix(files.Results, files.Quarantine, base, total)
+		prefix, err := runner.ReadMergedPrefix(files.Results, files.Quarantine, grid.Base(), grid.Size())
 		if err != nil {
 			return fmt.Errorf("fabric: campaign %s: %w", files.ID, err)
 		}
@@ -359,12 +344,11 @@ func (s *Service) resumeDir() error {
 			}
 		}
 		if _, err := s.addCampaign(files.ID, name, CampaignSpec{
-			ConfigJSON: cfgJSON, Base: base, Total: total, Matrix: matrix, MaxFailures: budget,
-			ResumePrefix: prefix,
-		}); err != nil {
+			ConfigJSON: cfgJSON, MaxFailures: budget, ResumePrefix: prefix,
+		}, grid); err != nil {
 			return err
 		}
-		s.logf("resumed campaign %s: %d/%d grid points already merged", files.ID, prefix, total)
+		s.logf("resumed campaign %s: %d/%d grid points already merged", files.ID, prefix, grid.Size())
 		if _, n, ok := splitTrailingCampaignInt(files.ID); ok && n >= s.nextSeq {
 			s.nextSeq = n
 		}
@@ -393,43 +377,45 @@ func splitTrailingCampaignInt(id string) (prefix string, n int, ok bool) {
 // caller's writers and returns its ID ("c1" for a service's first
 // campaign). It is how `comfase serve -config` runs its single grid.
 func (s *Service) AddCampaign(spec CampaignSpec) (string, error) {
-	switch {
-	case !json.Valid(spec.ConfigJSON):
-		return "", errors.New("fabric: campaign config is missing or not valid JSON")
-	case spec.Results == nil:
+	if spec.Results == nil {
 		return "", errors.New("fabric: campaign needs a results writer")
+	}
+	grid, _, err := campaignGrid(spec.ConfigJSON)
+	if err != nil {
+		return "", fmt.Errorf("fabric: campaign config: %w", err)
 	}
 	s.mu.Lock()
 	s.nextSeq++
 	id := "c" + strconv.Itoa(s.nextSeq)
 	s.mu.Unlock()
-	c, err := s.addCampaign(id, "", spec)
+	c, err := s.addCampaign(id, "", spec, grid)
 	if err != nil {
 		return "", err
 	}
 	return c.id, nil
 }
 
-// addCampaign builds the campaign's lease table, opens its sinks — the
-// spec's writers, or the campaign's own files under the service
-// directory when the spec has none — and registers it with the
+// addCampaign builds the campaign's lease table over the grid, opens its
+// sinks — the spec's writers, or the campaign's own files under the
+// service directory when the spec has none — and registers it with the
 // scheduler.
-func (s *Service) addCampaign(id, name string, spec CampaignSpec) (*serviceCampaign, error) {
-	if spec.ResumePrefix < 0 || spec.ResumePrefix > spec.Total {
-		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", spec.ResumePrefix, spec.Total)
+func (s *Service) addCampaign(id, name string, spec CampaignSpec, grid *runner.Grid) (*serviceCampaign, error) {
+	base, total := grid.Base(), grid.Size()
+	if spec.ResumePrefix < 0 || spec.ResumePrefix > total {
+		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", spec.ResumePrefix, total)
 	}
 	var labels []string
 	if s.submitMode {
 		labels = []string{"campaign", id}
 	}
-	table, err := NewLeaseTable(spec.Base, spec.Total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, labels...)
+	table, err := NewLeaseTable(base, total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, labels...)
 	if err != nil {
 		return nil, err
 	}
 	c := &serviceCampaign{
 		id: id, name: name,
-		base: spec.Base, total: spec.Total,
-		matrix: spec.Matrix, maxFailures: spec.MaxFailures,
+		base: base, total: total,
+		matrix: grid.Matrix(), maxFailures: spec.MaxFailures,
 		configJSON: spec.ConfigJSON,
 		table:      table,
 		quarantine: spec.Quarantine,
@@ -454,10 +440,10 @@ func (s *Service) addCampaign(id, name string, spec CampaignSpec) (*serviceCampa
 		c.headerPending = !spec.NoHeader
 	}
 	if spec.ResumePrefix > 0 {
-		table.MarkDonePrefix(spec.Base + spec.ResumePrefix)
+		table.MarkDonePrefix(base + spec.ResumePrefix)
 		for c.nextChunk < table.NumChunks() {
 			_, to, _ := table.Bounds(c.nextChunk)
-			if to > spec.Base+spec.ResumePrefix {
+			if to > base+spec.ResumePrefix {
 				break
 			}
 			c.nextChunk++
@@ -477,7 +463,7 @@ func (s *Service) addCampaign(id, name string, spec CampaignSpec) (*serviceCampa
 	s.publishLocked(c)
 	s.mu.Unlock()
 	s.submitted.Inc()
-	s.logf("campaign %s submitted: grid [%d,%d), %d chunk(s)", id, spec.Base, spec.Base+spec.Total, table.NumChunks())
+	s.logf("campaign %s submitted: grid [%d,%d), %d chunk(s)", id, base, base+total, table.NumChunks())
 	return c, nil
 }
 

@@ -29,8 +29,8 @@ const submitServiceConfig = `{
 }`
 
 // newSchedulerService builds a submit-mode service on a fake clock with
-// campaign grids defined directly (bypassing config parsing, like the
-// coordinator wrapper does) so lease geometry is exact.
+// campaigns of the given grid sizes, added directly (bypassing the
+// submit API) so lease geometry is exact.
 func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids ...int) (*Service, []string) {
 	t.Helper()
 	svc, err := NewService(ServiceOptions{
@@ -46,9 +46,12 @@ func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids 
 	var ids []string
 	for i, total := range grids {
 		id := "c" + string(rune('1'+i))
-		if _, err := svc.addCampaign(id, "", CampaignSpec{
-			ConfigJSON: []byte(`{}`), Total: total, MaxFailures: -1,
-		}); err != nil {
+		cfg := gridConfig(total, false)
+		grid, _, err := campaignGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.addCampaign(id, "", CampaignSpec{ConfigJSON: cfg, MaxFailures: -1}, grid); err != nil {
 			t.Fatalf("addCampaign %s: %v", id, err)
 		}
 		ids = append(ids, id)
@@ -381,7 +384,7 @@ func TestServiceSubmitAPI(t *testing.T) {
 // TestServiceSubmitRequiresDir pins the single-campaign guard: a service
 // without a service directory refuses submissions with 403.
 func TestServiceSubmitRequiresDir(t *testing.T) {
-	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, CampaignSpec{Total: 2, NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 2, CampaignSpec{NoHeader: true})
 	code := postProto(t, c.Handler(), PathCampaigns, SubmitRequest{Config: json.RawMessage(`{}`)}, nil)
 	if code != http.StatusForbidden {
 		t.Fatalf("submit without -dir: HTTP %d, want 403", code)

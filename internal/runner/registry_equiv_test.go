@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"comfase/internal/analysis"
 	"comfase/internal/core"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
@@ -219,16 +220,21 @@ func TestRunMatrixDeterminism(t *testing.T) {
 	}
 	cells := testMatrixCells(t)
 
-	runMatrix := func(opts Options) (*MatrixResult, []byte) {
+	runMatrix := func(opts Options) (*GridResult, []byte) {
 		var buf bytes.Buffer
-		res, err := RunMatrix(context.Background(), cells, opts, NewMatrixCSVSink(&buf))
+		res, err := mustGrid(t, cells).Run(context.Background(), opts, NewCSVSink(&buf))
 		if err != nil {
-			t.Fatalf("RunMatrix(%+v): %v", opts, err)
+			t.Fatalf("Grid.Run(%+v): %v", opts, err)
 		}
 		return res, buf.Bytes()
 	}
 
 	seq, seqCSV := runMatrix(Options{Workers: 1})
+	// Labeled (matrix) rows select the schema with the scenario column.
+	header := strings.Join(analysis.MatrixCSVHeader(), ",") + "\n"
+	if !bytes.HasPrefix(seqCSV, []byte(header)) {
+		t.Errorf("matrix CSV does not start with the matrix header %q:\n%s", header, seqCSV)
+	}
 	_, parCSV := runMatrix(Options{Workers: 4})
 	if !bytes.Equal(seqCSV, parCSV) {
 		t.Errorf("parallel matrix CSV differs from sequential:\nseq:\n%s\npar:\n%s", seqCSV, parCSV)
@@ -244,20 +250,25 @@ func TestRunMatrixDeterminism(t *testing.T) {
 		t.Errorf("merged matrix shards differ from sequential:\nseq:\n%s\nmerged:\n%s", seqCSV, merged)
 	}
 
-	// Per-cell tallies must re-derive from the flat stream.
-	total := 0
-	for _, label := range seq.CellCounts.Labels() {
-		total += seq.CellCounts.Get(label).Total()
-	}
-	if total != len(seq.Experiments) {
-		t.Errorf("cell tallies cover %d experiments, want %d", total, len(seq.Experiments))
-	}
+	// Per-cell tallies must re-derive from the flat stream, and the
+	// overall tally must cover it.
+	flat := seq.Experiments()
 	if got := len(seq.Cells); got != len(cells) {
-		t.Errorf("got %d cell results, want %d", got, len(cells))
+		t.Fatalf("got %d cell results, want %d", got, len(cells))
+	}
+	perCell := analysis.CellCounts(flat)
+	for i, c := range seq.Cells {
+		label := c.Setup.Scenario + "/" + c.Setup.Attack
+		if got := perCell.Get(label); got != c.Counts {
+			t.Errorf("cell %d (%s) tally %+v, flat stream says %+v", i, label, c.Counts, got)
+		}
+	}
+	if seq.Counts.Total() != len(flat) {
+		t.Errorf("overall tally covers %d experiments, want %d", seq.Counts.Total(), len(flat))
 	}
 
 	// The flat stream must be in global grid order with contiguous Nrs.
-	for i, e := range seq.Experiments {
+	for i, e := range flat {
 		if e.Spec.Nr != i {
 			t.Fatalf("experiment %d has Nr %d; global grid order broken", i, e.Spec.Nr)
 		}
@@ -296,8 +307,18 @@ func testMatrixCells(t *testing.T) []MatrixCell {
 	return cells
 }
 
+// mustGrid validates the cells into a Grid.
+func mustGrid(t *testing.T, cells []MatrixCell) *Grid {
+	t.Helper()
+	g, err := NewGrid(cells)
+	if err != nil {
+		t.Fatalf("NewGrid: %v", err)
+	}
+	return g
+}
+
 // chaosEngineConfig is chaosEngine's config without the construction —
-// RunMatrix builds engines itself.
+// a Grid builds engines itself.
 func chaosEngineConfig(budget uint64) core.EngineConfig {
 	ts := scenario.PaperScenario()
 	ts.TotalSimTime = 5 * des.Second
@@ -335,9 +356,9 @@ func mergeCSVBytes(t *testing.T, csvs ...[]byte) []byte {
 func TestRunMatrixBaseValidation(t *testing.T) {
 	cells := testMatrixCells(t)
 	cells[1].Setup.Base += 5
-	_, err := RunMatrix(context.Background(), cells, Options{Workers: 1})
+	_, err := NewGrid(cells)
 	if err == nil || !strings.Contains(err.Error(), "base") {
-		t.Fatalf("RunMatrix accepted a non-contiguous base: %v", err)
+		t.Fatalf("NewGrid accepted a non-contiguous base: %v", err)
 	}
 }
 
@@ -349,8 +370,8 @@ func TestRunMatrixResume(t *testing.T) {
 	}
 	cells := testMatrixCells(t)
 	var full bytes.Buffer
-	if _, err := RunMatrix(context.Background(), cells, Options{Workers: 1}, NewMatrixCSVSink(&full)); err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+	if _, err := mustGrid(t, cells).Run(context.Background(), Options{Workers: 1}, NewCSVSink(&full)); err != nil {
+		t.Fatalf("Grid.Run: %v", err)
 	}
 
 	// Cut the file mid-grid (header + first 7 rows) and resume.
@@ -364,9 +385,9 @@ func TestRunMatrixResume(t *testing.T) {
 		t.Fatalf("prefix parsed to %d rows, want 7", len(done))
 	}
 	var tail bytes.Buffer
-	if _, err := RunMatrix(context.Background(), cells, Options{Workers: 1, Resume: done},
-		NewMatrixCSVAppendSink(&tail)); err != nil {
-		t.Fatalf("resumed RunMatrix: %v", err)
+	if _, err := mustGrid(t, cells).Run(context.Background(), Options{Workers: 1, Resume: done},
+		NewCSVAppendSink(&tail)); err != nil {
+		t.Fatalf("resumed Grid.Run: %v", err)
 	}
 	combined := append(append([]byte(nil), prefix...), tail.Bytes()...)
 	if !bytes.Equal(combined, full.Bytes()) {

@@ -23,13 +23,15 @@ type Sink interface {
 	Flush() error
 }
 
-// CSVSink streams one CSV row per result in the analysis.ExperimentsCSV
-// schema, writing through on every row so an interrupted campaign leaves
-// a complete, parseable prefix on disk — the file Resume reads back.
-// Rows are encoded with the analysis.AppendExperimentCSVRow appender
-// into a buffer reused across Puts, so the per-row path is
-// allocation-free in steady state while staying byte-identical to
-// encoding/csv output.
+// CSVSink streams one CSV row per result, writing through on every row
+// so an interrupted campaign leaves a complete, parseable prefix on disk
+// — the file Resume reads back. The schema follows the grid's: rows of
+// matrix cells, which carry a scenario label, use the
+// analysis.MatrixCSVHeader schema; unlabeled single-campaign rows the
+// analysis.ExperimentCSVHeader one (the rule Grid.Matrix applies). Rows
+// are encoded with the analysis appenders into a buffer reused across
+// Puts, so the per-row path is allocation-free in steady state while
+// staying byte-identical to encoding/csv output.
 type CSVSink struct {
 	w           io.Writer
 	buf         []byte
@@ -50,11 +52,20 @@ func NewCSVAppendSink(w io.Writer) *CSVSink {
 // Put implements Sink.
 func (s *CSVSink) Put(res core.ExperimentResult) error {
 	s.buf = s.buf[:0]
+	matrix := res.Spec.Scenario != ""
 	if s.writeHeader {
-		s.buf = analysis.AppendExperimentCSVHeader(s.buf)
+		if matrix {
+			s.buf = analysis.AppendMatrixCSVHeader(s.buf)
+		} else {
+			s.buf = analysis.AppendExperimentCSVHeader(s.buf)
+		}
 		s.writeHeader = false
 	}
-	s.buf = analysis.AppendExperimentCSVRow(s.buf, res)
+	if matrix {
+		s.buf = analysis.AppendMatrixCSVRow(s.buf, res)
+	} else {
+		s.buf = analysis.AppendExperimentCSVRow(s.buf, res)
+	}
 	_, err := s.w.Write(s.buf)
 	return err
 }
