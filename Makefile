@@ -88,9 +88,12 @@ registry-equiv:
 # the multi-campaign drill — three campaigns with distinct grids
 # submitted concurrently to one service, one worker crashing mid-lease
 # — must leave every campaign's on-disk artifacts byte-identical to
-# its own sequential run.
+# its own sequential run. Resuming a service directory whose merged
+# prefix is all quarantine records must keep those records; and the
+# production `comfase serve -config -dir` + `comfase work` path must
+# merge a campaign byte-identical to `comfase campaign`.
 fabric-equiv:
-	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestCoordinatorStaleCompletionExactlyOnce|TestRangeSplitEquivalence' ./internal/fabric ./internal/runner
+	$(GO) test -race -run 'TestFabricChaosEquivalence|TestFabricDistributedEquivalence|TestFabricMultiCampaignChaosEquivalence|TestCoordinatorStaleCompletionExactlyOnce|TestServiceResumeQuarantineOnlyPrefix|TestRangeSplitEquivalence|TestRunServeWorkDistributedCLI' ./internal/fabric ./internal/runner ./cmd/comfase
 
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler and

@@ -53,10 +53,11 @@ func waitForCoordinatorURL(t *testing.T, out *syncBuffer) string {
 }
 
 // TestRunServeWorkDistributedCLI drives the fabric through the CLI: a
-// serve coordinator on a dynamic port, two work processes in-process,
-// and the merged CSV compared byte-for-byte against a sequential
-// campaign run. It then re-serves with -resume on the completed file,
-// which must finish immediately without any workers.
+// `serve -config -dir` service on a dynamic port, two work processes
+// in-process, and the merged files compared byte-for-byte against a
+// sequential campaign run. It then re-serves with -resume on the
+// completed directory, which must finish immediately without any
+// workers and without submitting the config again.
 func TestRunServeWorkDistributedCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments in -short mode")
@@ -69,13 +70,13 @@ func TestRunServeWorkDistributedCLI(t *testing.T) {
 		t.Fatalf("sequential campaign: %v", err)
 	}
 
-	merged := filepath.Join(dir, "merged.csv")
-	quarantine := filepath.Join(dir, "quarantine.jsonl")
+	svcDir := filepath.Join(dir, "campaigns")
+	merged := filepath.Join(svcDir, "c1.results.csv")
+	quarantine := filepath.Join(svcDir, "c1.quarantine.jsonl")
 	serveOut := &syncBuffer{}
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- run(bg(), []string{"serve", "-config", cfg,
-			"-results", merged, "-quarantine", quarantine,
+		serveErr <- run(bg(), []string{"serve", "-config", cfg, "-dir", svcDir,
 			"-addr", "127.0.0.1:0", "-lease-size", "1", "-lease-ttl", "5s"}, serveOut)
 	}()
 	url := waitForCoordinatorURL(t, serveOut)
@@ -103,8 +104,8 @@ func TestRunServeWorkDistributedCLI(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("serve did not finish after workers exited: %q", serveOut.String())
 	}
-	if !strings.Contains(serveOut.String(), "campaign complete") {
-		t.Errorf("serve output missing completion banner: %q", serveOut.String())
+	if want := "campaign c1 done: 4/4 grid points merged to " + merged; !strings.Contains(serveOut.String(), want) {
+		t.Errorf("serve output missing %q: %q", want, serveOut.String())
 	}
 
 	want, err := os.ReadFile(ref)
@@ -122,66 +123,93 @@ func TestRunServeWorkDistributedCLI(t *testing.T) {
 		t.Errorf("quarantine = %q, %v; want empty file", q, err)
 	}
 
-	// Resume on a complete file: the grid is already merged, so serve
-	// exits successfully without a single worker connecting.
+	// Resume on a complete directory: the grid is already merged, so
+	// serve exits successfully without a single worker connecting, and
+	// the config is not submitted as a second campaign.
 	var resumeOut syncBuffer
-	if err := run(bg(), []string{"serve", "-config", cfg,
-		"-results", merged, "-quarantine", quarantine,
+	if err := run(bg(), []string{"serve", "-config", cfg, "-dir", svcDir,
 		"-addr", "127.0.0.1:0", "-resume"}, &resumeOut); err != nil {
-		t.Fatalf("resume on complete file: %v", err)
+		t.Fatalf("resume on complete directory: %v", err)
+	}
+	if !strings.Contains(resumeOut.String(), "1 campaign(s) in") {
+		t.Errorf("resume banner = %q, want the one persisted campaign", resumeOut.String())
 	}
 	got2, err := os.ReadFile(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got2) != string(want) {
-		t.Errorf("resume on complete file rewrote results:\nbefore:\n%s\nafter:\n%s", want, got2)
+		t.Errorf("resume on complete directory rewrote results:\nbefore:\n%s\nafter:\n%s", want, got2)
+	}
+	if _, err := os.Stat(filepath.Join(svcDir, "c2.config.json")); !os.IsNotExist(err) {
+		t.Errorf("resume submitted the config again: %v", err)
 	}
 }
 
 // TestRunServeDrainOnCancel covers the SIGINT path: a canceled context
-// drains the coordinator, which exits with the interrupted code and a
-// -resume hint.
+// drains the service, which exits with the interrupted code and a
+// -resume hint naming the campaign's results file.
 func TestRunServeDrainOnCancel(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeGridConfig(t, dir)
+	svcDir := filepath.Join(dir, "campaigns")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out syncBuffer
-	err := run(ctx, []string{"serve", "-config", cfg,
-		"-results", filepath.Join(dir, "m.csv"), "-addr", "127.0.0.1:0"}, &out)
+	err := run(ctx, []string{"serve", "-config", cfg, "-dir", svcDir, "-addr", "127.0.0.1:0"}, &out)
 	if exitCode(err) != exitInterrupted {
 		t.Fatalf("drained serve exit = %d (%v), want %d", exitCode(err), err, exitInterrupted)
 	}
-	if !strings.Contains(out.String(), "-resume") {
-		t.Errorf("drain message missing resume hint: %q", out.String())
+	for _, want := range []string{"0/4 grid points merged to " + filepath.Join(svcDir, "c1.results.csv"), "-resume"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("drain message missing %q: %q", want, out.String())
+		}
 	}
 }
 
 func TestRunServeWorkErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeGridConfig(t, dir)
-	results := filepath.Join(dir, "m.csv")
-	if err := run(bg(), []string{"serve", "-results", results}, os.Stdout); err == nil {
-		t.Error("serve without -config accepted")
+	svcDir := filepath.Join(dir, "campaigns")
+	// No service directory: refused before any file is written.
+	for _, args := range [][]string{
+		{"serve"},
+		{"serve", "-config", cfg},
+		{"serve", "-config", cfg, "-resume"},
+	} {
+		if err := run(bg(), append(args, "-addr", "127.0.0.1:0"), os.Stdout); err == nil || !strings.Contains(err.Error(), "-dir") {
+			t.Errorf("%v without -dir: err = %v, want a -dir rejection", args, err)
+		}
 	}
-	if err := run(bg(), []string{"serve", "-config", cfg}, os.Stdout); err == nil {
-		t.Error("serve without -results accepted")
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("serve without -dir touched the file system: %d entries (%v)", len(entries), err)
 	}
-	if err := run(bg(), []string{"serve", "-config", "/nonexistent.json", "-results", results}, os.Stdout); err == nil {
+	if err := run(bg(), []string{"serve", "-config", "/nonexistent.json", "-dir", svcDir}, os.Stdout); err == nil {
 		t.Error("serve with missing config accepted")
 	}
 	empty := filepath.Join(dir, "empty.json")
 	if err := os.WriteFile(empty, []byte(`{"campaign": {}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bg(), []string{"serve", "-config", empty, "-results", results}, os.Stdout); err == nil {
+	if err := run(bg(), []string{"serve", "-config", empty, "-dir", svcDir}, os.Stdout); err == nil {
 		t.Error("serve with empty grid accepted")
 	}
 
 	// A results file with a hole is not a coordinator output: resume must
-	// refuse rather than silently discard the out-of-prefix rows.
-	gap := filepath.Join(dir, "gap.csv")
+	// refuse rather than silently discard the out-of-prefix rows, and say
+	// which file it refused.
+	gapDir := filepath.Join(dir, "gapped")
+	if err := os.MkdirAll(gapDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := runner.CampaignFilesIn(gapDir, "c1")
+	cfgJSON, err := os.ReadFile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files.Config, cfgJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	sink := runner.NewCSVSink(&buf)
 	for _, nr := range []int{0, 2} {
@@ -193,13 +221,13 @@ func TestRunServeWorkErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(gap, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(files.Results, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(bg(), []string{"serve", "-config", cfg, "-results", gap,
+	err = run(bg(), []string{"serve", "-config", cfg, "-dir", gapDir,
 		"-addr", "127.0.0.1:0", "-resume"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "contiguous") {
-		t.Errorf("resume on gapped results = %v, want contiguity error", err)
+	if err == nil || !strings.Contains(err.Error(), "contiguous") || !strings.Contains(err.Error(), files.Results) {
+		t.Errorf("resume on gapped results = %v, want a contiguity error naming %s", err, files.Results)
 	}
 
 	if err := run(bg(), []string{"work"}, os.Stdout); err == nil {
@@ -210,32 +238,23 @@ func TestRunServeWorkErrors(t *testing.T) {
 	}
 }
 
-// TestRunServeRejectsNegativeHeartbeatInterval: both serve modes refuse
-// a negative -heartbeat-interval, as campaign does, before touching any
-// output file — instead of silently falling back to the default period.
+// TestRunServeRejectsNegativeHeartbeatInterval: serve refuses a negative
+// -heartbeat-interval, as campaign does, before touching any file —
+// instead of silently falling back to the default period.
 func TestRunServeRejectsNegativeHeartbeatInterval(t *testing.T) {
 	dir := t.TempDir()
 	cfg := writeGridConfig(t, dir)
-	results := filepath.Join(dir, "m.csv")
-	if err := os.WriteFile(results, []byte("kept\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	svcDir := filepath.Join(dir, "campaigns")
 	hb := filepath.Join(dir, "hb.json")
-	for name, args := range map[string][]string{
-		"config": {"serve", "-config", cfg, "-results", results},
-		"submit": {"serve", "-dir", filepath.Join(dir, "svc")},
-	} {
-		args = append(args, "-addr", "127.0.0.1:0", "-heartbeat", hb, "-heartbeat-interval", "-1s")
-		err := run(bg(), args, os.Stdout)
-		if err == nil || !strings.Contains(err.Error(), "negative -heartbeat-interval") {
-			t.Errorf("%s mode: err = %v, want a negative -heartbeat-interval rejection", name, err)
+	err := run(bg(), []string{"serve", "-config", cfg, "-dir", svcDir,
+		"-addr", "127.0.0.1:0", "-heartbeat", hb, "-heartbeat-interval", "-1s"}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "negative -heartbeat-interval") {
+		t.Errorf("err = %v, want a negative -heartbeat-interval rejection", err)
+	}
+	for _, path := range []string{svcDir, hb} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s created despite the rejection: %v", path, err)
 		}
-	}
-	if data, err := os.ReadFile(results); err != nil || string(data) != "kept\n" {
-		t.Errorf("results file = %q, %v; want it untouched", data, err)
-	}
-	if _, err := os.Stat(hb); !os.IsNotExist(err) {
-		t.Errorf("heartbeat file written despite the rejection: %v", err)
 	}
 }
 

@@ -176,29 +176,33 @@ Subcommands:
             cleanly; a second SIGINT force-exits immediately.
             exit codes: 0 complete, 1 error, 2 interrupted,
                         3 failure budget exceeded, 130 forced exit
-  serve     coordinate a distributed campaign: own the grid, lease
-            contiguous expNr ranges to "comfase work" processes over
-            HTTP, re-lease ranges whose worker dies, and stream the
-            merged results CSV in grid order — byte-identical to a
-            sequential run even when workers crash mid-range
-            flags: -config FILE (required), -results FILE (required),
+  serve     run the campaign service: every campaign's config, merged
+            results and quarantine live side by side in -dir; contiguous
+            expNr ranges are leased to "comfase work" processes over
+            HTTP, ranges whose worker dies are re-leased, and each
+            campaign's results are merged into DIR/<id>.results.csv in
+            grid order — byte-identical to a sequential run even when
+            workers crash mid-range
+            flags: -dir DIR (required unless the config sets fabric.dir),
+                   -config FILE (submit this campaign at start-up and exit
+                   once every campaign is finished; its runtime.maxFailures
+                   is the failure budget),
                    -addr HOST:PORT (listen address; "127.0.0.1:0" picks
-                   a port), -quarantine FILE (merged failure records),
-                   -lease-size N (grid points per lease),
+                   a port), -lease-size N (grid points per lease),
                    -lease-ttl D (dead-worker detection window),
-                   -resume (trust the merged prefix already on disk),
-                   -max-failures N (campaign failure budget),
+                   -fairness-cap N (chunks one campaign may hold leased
+                   while others wait),
+                   -resume (re-adopt every campaign in DIR past its merged
+                   prefix; -config is not submitted again),
                    -heartbeat FILE, -heartbeat-interval D,
                    -metrics-addr HOST:PORT, -v (log fabric events)
-            the first SIGINT drains (finish what's leased, lease nothing
-            new) and exits 2 with a -resume hint; a second force-exits.
-            with -dir DIR the coordinator becomes a multi-campaign
-            service: campaigns arrive via "comfase submit", run oldest-
-            first under a per-campaign -fairness-cap, and every
-            campaign's config/results/quarantine/status files live side
-            by side in DIR; -resume re-adopts everything in DIR, and
-            -config becomes optional (fabric defaults only)
-  submit    enqueue a campaign config on a "comfase serve -dir" service
+            without -config the service runs until SIGINT and takes its
+            campaigns from "comfase submit", oldest first. The first
+            SIGINT drains (finish what's leased, lease nothing new) and
+            exits 2 with a -resume hint; a second force-exits.
+            exit codes: 0 finished, 1 error, 2 drained,
+                        3 failure budget exceeded, 130 forced exit
+  submit    enqueue a campaign config on a running "comfase serve"
             flags: -coordinator URL (required), -config FILE (required),
                    -name NAME (label shown by "comfase campaigns")
   campaigns inspect a campaign service: list all campaigns, or one of
@@ -378,16 +382,7 @@ func runCampaign(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// Flags override config-file runtime settings.
-	opts := runner.Options{
-		Workers:            parsed.Runtime.Workers,
-		Shard:              parsed.Runtime.Shard,
-		Retries:            parsed.Runtime.Retries,
-		RetryBackoff:       parsed.Runtime.RetryBackoff,
-		ExperimentTimeout:  parsed.Runtime.ExperimentTimeout,
-		MaxFailures:        parsed.Runtime.MaxFailures,
-		DisableCheckpoints: parsed.Runtime.DisableCheckpoints,
-		DisableTrie:        parsed.Runtime.DisableTrie,
-	}
+	opts := parsed.Runtime.RunnerOptions()
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	if explicit["workers"] || opts.Workers == 0 {
@@ -631,22 +626,24 @@ func openResultsSink(path string, appendTo bool) (runner.Sink, func() error, err
 	return runner.NewCSVSink(f), f.Close, nil
 }
 
-// runServe is the fabric coordinator: it owns the campaign grid, leases
-// contiguous ranges to `comfase work` processes, re-leases ranges whose
-// worker goes silent past the TTL, and streams the merged results CSV
-// (and quarantine) in grid order — byte-identical to a sequential run.
+// runServe is the fabric campaign service. Every campaign's config,
+// merged results and quarantine live side by side in the service
+// directory; contiguous expNr ranges are leased to `comfase work`
+// processes, ranges whose worker goes silent past the TTL are re-leased,
+// and each campaign's results CSV is merged in grid order —
+// byte-identical to a sequential run. With -config the service submits
+// that campaign at start-up and exits once every campaign is finished;
+// without it, it runs until SIGINT, taking campaigns from `comfase
+// submit`.
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	cfgPath := fs.String("config", "", "JSON experiment configuration (required); served to workers at registration")
+	cfgPath := fs.String("config", "", "campaign config to submit at start-up; the service exits once every campaign is finished")
 	addr := fs.String("addr", "", `HTTP listen address (default config fabric.addr, else "127.0.0.1:0")`)
-	resultsPath := fs.String("results", "", "merged results CSV (required; also the -resume source)")
-	quarantinePath := fs.String("quarantine", "", "merged quarantine JSON-lines file")
+	dirFlag := fs.String("dir", "", "campaign service directory (required unless the config sets fabric.dir): every campaign's config, results, quarantine and status files live here")
 	leaseSize := fs.Int("lease-size", 0, "grid points per worker lease (0 = config fabric.leaseSize, else 16)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "worker lease TTL; silence past it re-leases the range (0 = config fabric.leaseTTLS, else 15s)")
-	dirFlag := fs.String("dir", "", "campaign service directory: enables submit mode, where campaigns arrive via `comfase submit` and every campaign's files live here")
-	fairnessCap := fs.Int("fairness-cap", 0, "max chunks one campaign may hold leased while others wait (0 = config fabric.fairnessCap, else 4; submit mode only)")
-	resume := fs.Bool("resume", false, "trust the merged prefix already in -results/-quarantine (or every campaign in -dir) and serve only the rest")
-	maxFailures := fs.Int("max-failures", 0, "persistent failures tolerated before aborting (0 = fail fast, negative = unlimited)")
+	fairnessCap := fs.Int("fairness-cap", 0, "max chunks one campaign may hold leased while others wait (0 = config fabric.fairnessCap, else 4)")
+	resume := fs.Bool("resume", false, "re-adopt every campaign in -dir and serve only what its merged prefix lacks; -config is not submitted again")
 	verbose := fs.Bool("v", false, "log fabric events (registrations, leases, expiries)")
 	heartbeatPath := fs.String("heartbeat", "", "periodically publish a JSON metrics snapshot to this file (atomic rename)")
 	heartbeatInterval := fs.Duration("heartbeat-interval", 0, "heartbeat snapshot period (0 = 5s default)")
@@ -654,196 +651,71 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cfgPath == "" && *dirFlag == "" {
-		return fmt.Errorf("serve: -config is required")
-	}
-	// In submit mode the config file is optional and only supplies fabric
-	// defaults; campaigns bring their own configs over the API.
 	var cfgJSON []byte
 	parsed := &config.Parsed{}
 	if *cfgPath != "" {
 		var err error
-		cfgJSON, err = os.ReadFile(*cfgPath)
-		if err != nil {
+		if cfgJSON, err = os.ReadFile(*cfgPath); err != nil {
 			return err
 		}
-		parsed, err = config.Parse(bytes.NewReader(cfgJSON))
-		if err != nil {
+		if parsed, err = config.Parse(bytes.NewReader(cfgJSON)); err != nil {
 			return err
 		}
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 
-	srv := fabricServer{
-		addr: parsed.Fabric.Addr,
-		opts: fabric.ServiceOptions{
-			LeaseSize: parsed.Fabric.LeaseSize,
-			LeaseTTL:  parsed.Fabric.LeaseTTL,
-		},
-		verbose:           *verbose,
-		heartbeatPath:     *heartbeatPath,
-		heartbeatInterval: *heartbeatInterval,
-		metricsAddr:       *metricsAddr,
+	opts := fabric.ServiceOptions{
+		Dir:            parsed.Fabric.Dir,
+		Resume:         *resume,
+		LeaseSize:      parsed.Fabric.LeaseSize,
+		LeaseTTL:       parsed.Fabric.LeaseTTL,
+		FairnessCap:    parsed.Fabric.FairnessCap,
+		FinishWhenDone: cfgJSON != nil,
 	}
+	listen := parsed.Fabric.Addr
 	if explicit["addr"] {
-		srv.addr = *addr
+		listen = *addr
 	}
-	if srv.addr == "" {
-		srv.addr = "127.0.0.1:0"
+	if listen == "" {
+		listen = "127.0.0.1:0"
+	}
+	if explicit["dir"] {
+		opts.Dir = *dirFlag
 	}
 	if explicit["lease-size"] {
-		srv.opts.LeaseSize = *leaseSize
+		opts.LeaseSize = *leaseSize
 	}
 	if explicit["lease-ttl"] {
-		srv.opts.LeaseTTL = *leaseTTL
+		opts.LeaseTTL = *leaseTTL
 	}
-	dir := parsed.Fabric.Dir
-	if explicit["dir"] {
-		dir = *dirFlag
+	if explicit["fairness-cap"] {
+		opts.FairnessCap = *fairnessCap
 	}
-	if dir != "" {
-		srv.opts.Dir = dir
-		srv.opts.Resume = *resume
-		srv.opts.FairnessCap = parsed.Fabric.FairnessCap
-		if explicit["fairness-cap"] {
-			srv.opts.FairnessCap = *fairnessCap
-		}
-		return runServeSubmitMode(ctx, stdout, srv)
+	if opts.Dir == "" {
+		return fmt.Errorf("serve: -dir is required")
 	}
-	if *cfgPath == "" {
-		return fmt.Errorf("serve: -config is required")
-	}
-	if *resultsPath == "" {
-		return fmt.Errorf("serve: -results is required")
-	}
-	grid, err := runner.NewGrid(parsed.Grid())
-	if err != nil {
-		return err
-	}
-	total := grid.Size()
-	budget := parsed.Runtime.MaxFailures
-	if explicit["max-failures"] {
-		budget = *maxFailures
+	if *heartbeatInterval < 0 {
+		return fmt.Errorf("serve: negative -heartbeat-interval %v", *heartbeatInterval)
 	}
 
-	// Resume: the coordinator's release frontier writes a contiguous grid
-	// prefix, so "done so far" is exactly the rows + quarantine records
-	// below the first missing expNr. ReadMergedPrefix also chops any
-	// partial trailing line a mid-write crash left, and its rejection
-	// names the offending file — with several campaigns' outputs on one
-	// disk, "which file was refused" must never be ambiguous.
-	prefix := 0
-	if *resume {
-		p, err := runner.ReadMergedPrefix(*resultsPath, *quarantinePath, grid.Base(), total)
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		prefix = p
-	}
-
-	appendMode := false
-	if *resume {
-		if st, err := os.Stat(*resultsPath); err == nil && st.Size() > 0 {
-			appendMode = true
-		}
-	}
-	var files []*os.File
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	openOut := func(path string) (*os.File, error) {
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if appendMode {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(path, mode, 0o644)
-		if err == nil {
-			files = append(files, f)
-		}
-		return f, err
-	}
-
-	srv.opts.FinishWhenDone = true
-	var id string
-	svc, err := srv.run(ctx, stdout, func(svc *fabric.Service) error {
-		spec := fabric.CampaignSpec{
-			ConfigJSON:   cfgJSON,
-			MaxFailures:  budget,
-			ResumePrefix: prefix,
-			NoHeader:     appendMode,
-		}
-		var err error
-		if spec.Results, err = openOut(*resultsPath); err != nil {
-			return err
-		}
-		if *quarantinePath != "" {
-			if spec.Quarantine, err = openOut(*quarantinePath); err != nil {
-				return err
-			}
-		}
-		id, err = svc.AddCampaign(spec)
-		return err
-	}, func(_ *fabric.Service, addr net.Addr) {
-		fmt.Fprintf(stdout, "fabric coordinator on http://%s: %d grid points (%d resumed), lease TTL %v\n",
-			addr, total, prefix, ttlOrDefault(srv.opts.LeaseTTL))
-	})
-	if svc == nil {
-		return err
-	}
-	st, _ := svc.CampaignStatusByID(id)
-	switch {
-	case errors.Is(err, fabric.ErrDrained):
-		fmt.Fprintf(stdout, "campaign drained: %d/%d grid points merged to %s; continue with -resume\n",
-			st.Merged, total, *resultsPath)
-		return errInterrupted
-	case err != nil:
-		return err
-	}
-	fmt.Fprintf(stdout, "campaign complete: %d grid points merged to %s (%d quarantined)\n",
-		st.Merged, *resultsPath, st.Failures)
-	return nil
-}
-
-// fabricServer is what both serve modes share: the metrics registry
-// with its optional HTTP endpoint and heartbeat file, verbose event
-// logging, and the HTTP listener the service runs behind.
-type fabricServer struct {
-	addr              string
-	opts              fabric.ServiceOptions // Metrics and Logf are filled in by run
-	verbose           bool
-	heartbeatPath     string
-	heartbeatInterval time.Duration
-	metricsAddr       string
-}
-
-// run starts the metrics endpoint and heartbeat, builds the service and
-// hands it to add (the serve mode's campaign set-up), serves it on the
-// listener, prints the mode's banner and the worker hint, and waits for
-// the service to finish. It keeps the socket up afterwards until live
-// workers have been told the run is over (bounded by one TTL), so a
-// clean finish does not look like a dead coordinator on their side. The
-// returned service is nil when set-up failed; otherwise the error is
-// Wait's.
-func (f fabricServer) run(ctx context.Context, stdout io.Writer, add func(*fabric.Service) error, banner func(*fabric.Service, net.Addr)) (*fabric.Service, error) {
-	if f.heartbeatInterval < 0 {
-		return nil, fmt.Errorf("serve: negative -heartbeat-interval %v", f.heartbeatInterval)
-	}
 	reg := obs.NewRegistry()
-	if f.metricsAddr != "" {
-		srv, err := obs.NewServer(f.metricsAddr, reg)
+	opts.Metrics = reg
+	if *verbose {
+		opts.Logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
+	}
+	if *metricsAddr != "" {
+		srv, err := obs.NewServer(*metricsAddr, reg)
 		if err != nil {
-			return nil, fmt.Errorf("serve: metrics listener: %w", err)
+			return fmt.Errorf("serve: metrics listener: %w", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(stdout, "metrics: http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
 	}
-	if f.heartbeatPath != "" {
-		hb := obs.NewHeartbeat(f.heartbeatPath, f.heartbeatInterval, reg.Snapshot)
+	if *heartbeatPath != "" {
+		hb := obs.NewHeartbeat(*heartbeatPath, *heartbeatInterval, reg.Snapshot)
 		if err := hb.Start(); err != nil {
-			return nil, fmt.Errorf("serve: heartbeat: %w", err)
+			return fmt.Errorf("serve: heartbeat: %w", err)
 		}
 		defer func() {
 			if herr := hb.Stop(); herr != nil {
@@ -851,33 +723,52 @@ func (f fabricServer) run(ctx context.Context, stdout io.Writer, add func(*fabri
 			}
 		}()
 	}
-	opts := f.opts
-	opts.Metrics = reg
-	if f.verbose {
-		opts.Logf = func(format string, a ...any) { fmt.Fprintf(stdout, "serve: "+format+"\n", a...) }
-	}
 	svc, err := fabric.NewService(opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if add != nil {
-		if err := add(svc); err != nil {
-			return nil, err
+	// A resumed directory's persisted configs are the source of truth:
+	// -config goes only into a service that holds no campaign yet.
+	if cfgJSON != nil && len(svc.ListCampaigns()) == 0 {
+		if _, err := svc.Submit("", cfgJSON); err != nil {
+			return err
 		}
 	}
-	ln, err := net.Listen("tcp", f.addr)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		return nil, fmt.Errorf("serve: listen: %w", err)
+		return fmt.Errorf("serve: listen: %w", err)
 	}
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
-	banner(svc, ln.Addr())
+	fmt.Fprintf(stdout, "fabric campaign service on http://%s: %d campaign(s) in %s, lease TTL %v\n",
+		ln.Addr(), len(svc.ListCampaigns()), opts.Dir, ttlOrDefault(opts.LeaseTTL))
+	fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator http://%s -config FILE\n", ln.Addr())
 	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
 
+	// Linger keeps the socket up until live workers have been told the
+	// run is over (bounded by one TTL), so a clean finish does not look
+	// like a dead coordinator on their side.
 	err = svc.Wait(ctx)
 	svc.Linger()
-	return svc, err
+	campaigns := svc.ListCampaigns()
+	incomplete := 0
+	for _, st := range campaigns {
+		fmt.Fprintf(stdout, "campaign %s %s: %d/%d grid points merged to %s (%d quarantined)\n",
+			st.ID, st.State, st.Merged, st.Total, runner.CampaignFilesIn(opts.Dir, st.ID).Results, st.Failures)
+		if st.State == fabric.StateQueued || st.State == fabric.StateRunning {
+			incomplete++
+		}
+	}
+	switch {
+	case errors.Is(err, fabric.ErrDrained):
+		fmt.Fprintf(stdout, "service drained: %d campaign(s) incomplete in %s; continue with -resume\n", incomplete, opts.Dir)
+		return errInterrupted
+	case err != nil:
+		return err
+	}
+	fmt.Fprintf(stdout, "service finished: all %d campaign(s) terminal in %s\n", len(campaigns), opts.Dir)
+	return nil
 }
 
 // ttlOrDefault mirrors the coordinator's TTL defaulting for log output.

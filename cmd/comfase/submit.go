@@ -1,19 +1,16 @@
 package main
 
-// The multi-campaign control plane: `comfase serve -dir` turns the
-// coordinator into a campaign service, and `comfase submit` /
-// `comfase campaigns` are its operator CLI. The wire types live in
-// internal/fabric; this file only does flags, HTTP and printing.
+// The campaign service's operator CLI: `comfase submit` and
+// `comfase campaigns` talk to a running `comfase serve`. The wire types
+// live in internal/fabric; this file only does flags, HTTP and printing.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"text/tabwriter"
@@ -21,38 +18,6 @@ import (
 
 	"comfase/internal/fabric"
 )
-
-// runServeSubmitMode runs `comfase serve` as a multi-campaign service:
-// campaigns arrive over /v1/campaigns, every campaign's artifacts live
-// in the service directory, and SIGINT drains — leaving queued and
-// half-done campaigns resumable with -resume.
-func runServeSubmitMode(ctx context.Context, stdout io.Writer, srv fabricServer) error {
-	dir := srv.opts.Dir
-	svc, err := srv.run(ctx, stdout, nil, func(svc *fabric.Service, addr net.Addr) {
-		fmt.Fprintf(stdout, "fabric campaign service on http://%s: %d campaign(s) in %s, lease TTL %v\n",
-			addr, len(svc.ListCampaigns()), dir, ttlOrDefault(srv.opts.LeaseTTL))
-		fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator http://%s -config FILE\n", addr)
-	})
-	if svc == nil {
-		return err
-	}
-	switch {
-	case errors.Is(err, fabric.ErrDrained):
-		remaining := 0
-		for _, st := range svc.ListCampaigns() {
-			if st.State == fabric.StateQueued || st.State == fabric.StateRunning {
-				remaining++
-			}
-		}
-		fmt.Fprintf(stdout, "service drained: %d campaign(s) incomplete; configs and merged prefixes are in %s — continue with -resume\n",
-			remaining, dir)
-		return errInterrupted
-	case err != nil:
-		return err
-	}
-	fmt.Fprintf(stdout, "service drained: all %d campaign(s) complete in %s\n", len(svc.ListCampaigns()), dir)
-	return nil
-}
 
 // runSubmit posts a campaign config to a running campaign service.
 func runSubmit(ctx context.Context, args []string, stdout io.Writer) error {

@@ -506,6 +506,21 @@ type RuntimeSettings struct {
 	MetricsAddr        string
 }
 
+// RunnerOptions maps the runtime section onto the campaign runner's
+// options; callers layer flags, sinks and metrics on top.
+func (r RuntimeSettings) RunnerOptions() runner.Options {
+	return runner.Options{
+		Workers:            r.Workers,
+		Shard:              r.Shard,
+		Retries:            r.Retries,
+		RetryBackoff:       r.RetryBackoff,
+		ExperimentTimeout:  r.ExperimentTimeout,
+		MaxFailures:        r.MaxFailures,
+		DisableCheckpoints: r.DisableCheckpoints,
+		DisableTrie:        r.DisableTrie,
+	}
+}
+
 // FabricConfig configures the distributed campaign fabric
 // (internal/fabric): how a `comfase serve` coordinator leases the grid
 // to `comfase work` processes. Command-line flags override these
@@ -529,13 +544,13 @@ type FabricConfig struct {
 	// RetryBaseMS is the base of the worker's capped jittered exponential
 	// backoff in milliseconds (0 = the fabric default of 200 ms).
 	RetryBaseMS int `json:"retryBaseMS,omitempty"`
-	// Dir, when set, starts `comfase serve` in submit mode: campaigns
-	// arrive over the /v1/campaigns API and every campaign's artifacts
-	// live side by side in this directory.
+	// Dir is the `comfase serve` service directory (the -dir default):
+	// every campaign's config, merged results, quarantine and status
+	// document live side by side in it.
 	Dir string `json:"dir,omitempty"`
 	// FairnessCap bounds how many chunks one campaign may hold leased
 	// while other campaigns still have pending work (0 = the fabric
-	// default of 4). Only meaningful in submit mode.
+	// default of 4).
 	FairnessCap int `json:"fairnessCap,omitempty"`
 }
 

@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -278,7 +279,7 @@ func TestParseFabricSection(t *testing.T) {
 		t.Errorf("worker retry settings = %+v", fb)
 	}
 	if fb.Dir != "/tmp/campaigns" || fb.FairnessCap != 2 {
-		t.Errorf("submit-mode settings = %+v", fb)
+		t.Errorf("service settings = %+v", fb)
 	}
 	// An absent section yields all-zero settings (fabric defaults apply).
 	p2, err := Parse(strings.NewReader(`{"campaign": {
@@ -371,7 +372,8 @@ func TestRuntimeConfigBuild(t *testing.T) {
 	    "maxFailures": -1,
 	    "quarantineFile": "quarantine.jsonl",
 	    "invariants": true,
-	    "eventBudget": 500000
+	    "eventBudget": 500000,
+	    "checkpointTrie": false
 	  }
 	}`
 	p, err := Parse(strings.NewReader(doc))
@@ -401,6 +403,14 @@ func TestRuntimeConfigBuild(t *testing.T) {
 	}
 	if !p.Engine.Invariants || p.Engine.EventBudget != 500000 {
 		t.Errorf("invariants = %v eventBudget = %d, want true/500000", p.Engine.Invariants, p.Engine.EventBudget)
+	}
+	want := runner.Options{
+		Workers: 4, Shard: runner.Shard{Index: 2, Count: 4},
+		Retries: 2, RetryBackoff: 250 * time.Millisecond,
+		ExperimentTimeout: 30 * time.Second, MaxFailures: -1, DisableTrie: true,
+	}
+	if got := p.Runtime.RunnerOptions(); !reflect.DeepEqual(got, want) {
+		t.Errorf("RunnerOptions = %+v, want %+v", got, want)
 	}
 }
 

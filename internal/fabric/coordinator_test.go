@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,31 +90,69 @@ func gridConfig(total int, matrix bool) []byte {
 	return []byte(`{"campaign": {"attack": "delay", ` + attack + `}}`)
 }
 
-// newTestCoordinator builds the single-campaign service `comfase serve
-// -config` runs: FinishWhenDone, and one campaign (ID "c1") added with
-// caller-owned writers. The config's grid must have total points; a nil
-// ConfigJSON gets gridConfig(total), a nil Results the returned buffer.
-func newTestCoordinator(t *testing.T, opts ServiceOptions, total int, spec CampaignSpec) (*Service, *bytes.Buffer) {
+// withMaxFailures sets a config's runtime.maxFailures, the campaign's
+// failure budget.
+func withMaxFailures(cfg []byte, n int) []byte {
+	return []byte(`{"runtime": {"maxFailures": ` + strconv.Itoa(n) + `}, ` + string(cfg[1:]))
+}
+
+// newTestCoordinator builds the service `comfase serve -config C -dir D`
+// runs: a FinishWhenDone service whose directory (a fresh t.TempDir()
+// unless opts.Dir is set) holds one campaign, c1, submitted from cfg. A
+// resumed service re-adopts c1 from the directory instead, as the CLI
+// does. It returns c1's file layout.
+func newTestCoordinator(t *testing.T, opts ServiceOptions, cfg []byte) (*Service, runner.CampaignFiles) {
 	t.Helper()
-	var out bytes.Buffer
-	if spec.ConfigJSON == nil {
-		spec.ConfigJSON = gridConfig(total, false)
-	}
-	if spec.Results == nil {
-		spec.Results = &out
+	if opts.Dir == "" {
+		opts.Dir = t.TempDir()
 	}
 	opts.FinishWhenDone = true
 	svc, err := NewService(opts)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
-	if id, err := svc.AddCampaign(spec); err != nil || id != "c1" {
-		t.Fatalf("AddCampaign = %q, %v; want c1", id, err)
+	if len(svc.ListCampaigns()) == 0 {
+		if resp, err := svc.Submit("", cfg); err != nil || resp.CampaignID != "c1" {
+			t.Fatalf("Submit = %+v, %v; want c1", resp, err)
+		}
 	}
-	if st, _ := svc.CampaignStatusByID("c1"); st.Total != total {
-		t.Fatalf("campaign grid = %d points, want %d", st.Total, total)
+	return svc, runner.CampaignFilesIn(opts.Dir, "c1")
+}
+
+// seedCampaign writes campaign c1's persisted config and merged files
+// into dir, as a drained service would have left them.
+func seedCampaign(t *testing.T, dir string, cfg []byte, results, quarantine string) runner.CampaignFiles {
+	t.Helper()
+	files := runner.CampaignFilesIn(dir, "c1")
+	for path, data := range map[string]string{files.Config: string(cfg), files.Results: results, files.Quarantine: quarantine} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return svc, &out
+	return files
+}
+
+// readFile returns a merged file's current bytes ("" when missing).
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// legacyHeader is the single-campaign results CSV header line.
+var legacyHeader = strings.Join(analysis.ExperimentCSVHeader(), ",") + "\n"
+
+// legacyCSV renders schema-valid result rows for [from, to) as the CSV
+// lines a merged results file holds.
+func legacyCSV(from, to int) string {
+	var b strings.Builder
+	for _, r := range legacyRows(from, to) {
+		b.WriteString(strings.Join(r.Fields, ",") + "\n")
+	}
+	return b.String()
 }
 
 // merged reports how many grid points of campaign c1 have been written
@@ -144,7 +183,7 @@ func waitDone(t *testing.T, c *Service) error {
 }
 
 func TestCoordinatorFrontierOrder(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 6, CampaignSpec{NoHeader: true})
+	c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, gridConfig(6, false))
 	h := c.Handler()
 	w1 := register(t, h)
 	l0 := lease(t, h, w1) // [0,2)
@@ -165,8 +204,8 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 	// Out-of-order completion: the frontier must hold everything back
 	// until chunk 0 lands, then stream in grid order.
 	complete(l2)
-	if out.Len() != 0 {
-		t.Fatalf("rows written before the frontier reached them: %q", out.String())
+	if got := readFile(t, files.Results); got != "" {
+		t.Fatalf("rows written before the frontier reached them: %q", got)
 	}
 	complete(l0)
 	if got := merged(t, c); got != 2 {
@@ -176,12 +215,12 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	var want strings.Builder
+	want := legacyHeader
 	for nr := 0; nr < 6; nr++ {
-		fmt.Fprintf(&want, "%d,v\n", nr)
+		want += fmt.Sprintf("%d,v\n", nr)
 	}
-	if out.String() != want.String() {
-		t.Errorf("merged CSV:\n%q\nwant:\n%q", out.String(), want.String())
+	if got := readFile(t, files.Results); got != want {
+		t.Errorf("merged CSV:\n%q\nwant:\n%q", got, want)
 	}
 }
 
@@ -192,7 +231,8 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 	clock := newFakeClock()
 	reg := obs.NewRegistry()
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Now: clock.Now, Metrics: reg}, 4, CampaignSpec{NoHeader: true, MaxFailures: -1})
+	c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second, Now: clock.Now, Metrics: reg},
+		withMaxFailures(gridConfig(4, false), -1))
 	h := c.Handler()
 	w1 := register(t, h)
 	w2 := register(t, h)
@@ -218,8 +258,8 @@ func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 	if cr.OK || !cr.Stale {
 		t.Fatalf("stale completion answered %+v, want stale", cr)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("stale rows were merged: %q", out.String())
+	if got := readFile(t, files.Results); got != "" {
+		t.Fatalf("stale rows were merged: %q", got)
 	}
 
 	// The live executions win.
@@ -237,14 +277,12 @@ func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("merged %d rows, want 4 (exactly once each): %q", len(lines), out.String())
+	want := legacyHeader + "0,live\n1,live\n2,live\n3,live\n"
+	if got := readFile(t, files.Results); got != want {
+		t.Errorf("merged CSV = %q, want each grid point exactly once, from the re-execution: %q", got, want)
 	}
-	for nr, line := range lines {
-		if line != fmt.Sprintf("%d,live", nr) {
-			t.Errorf("row %d = %q, want the re-execution's row", nr, line)
-		}
+	if got := readFile(t, files.Quarantine); got != "" {
+		t.Errorf("quarantine = %q, want empty", got)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["fabric.leases_expired"] == 0 || snap.Counters["fabric.leases_released"] == 0 {
@@ -256,7 +294,7 @@ func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 }
 
 func TestCoordinatorCoverageRejected(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 4, CampaignSpec{NoHeader: true})
+	c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, gridConfig(4, false))
 	h := c.Handler()
 	w1 := register(t, h)
 	l := lease(t, h, w1)
@@ -275,8 +313,8 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 			t.Errorf("bad completion %d: HTTP %d, want 400", i, code)
 		}
 	}
-	if out.Len() != 0 {
-		t.Fatalf("bad completions wrote rows: %q", out.String())
+	if got := readFile(t, files.Results); got != "" {
+		t.Fatalf("bad completions wrote rows: %q", got)
 	}
 	// The lease survived the garbage: a correct completion still lands.
 	var cr CompleteResponse
@@ -289,7 +327,10 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 }
 
 func TestCoordinatorResumePrefix(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 6, CampaignSpec{NoHeader: true, ResumePrefix: 3})
+	dir := t.TempDir()
+	prior := legacyHeader + legacyCSV(0, 3)
+	seedCampaign(t, dir, gridConfig(6, false), prior, "")
+	c, files := newTestCoordinator(t, ServiceOptions{Dir: dir, Resume: true, LeaseSize: 2}, nil)
 	if got := merged(t, c); got != 3 {
 		t.Fatalf("resumed Merged = %d, want 3", got)
 	}
@@ -310,25 +351,27 @@ func TestCoordinatorResumePrefix(t *testing.T) {
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	want := "3,v\n4,v\n5,v\n"
-	if out.String() != want {
-		t.Errorf("resumed output = %q, want only the un-resumed rows %q", out.String(), want)
+	want := prior + "3,v\n4,v\n5,v\n"
+	if got := readFile(t, files.Results); got != want {
+		t.Errorf("resumed output = %q, want the prior prefix plus only the un-resumed rows %q", got, want)
 	}
 }
 
 func TestCoordinatorResumeComplete(t *testing.T) {
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 4, CampaignSpec{NoHeader: true, ResumePrefix: 4})
+	dir := t.TempDir()
+	prior := legacyHeader + legacyCSV(0, 4)
+	seedCampaign(t, dir, gridConfig(4, false), prior, "")
+	c, files := newTestCoordinator(t, ServiceOptions{Dir: dir, Resume: true, LeaseSize: 2}, nil)
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait on a fully resumed grid: %v", err)
 	}
-	if out.Len() != 0 {
-		t.Errorf("fully resumed grid wrote rows: %q", out.String())
+	if got := readFile(t, files.Results); got != prior {
+		t.Errorf("fully resumed grid rewrote its results: %q", got)
 	}
 }
 
 func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
-	var quarantine bytes.Buffer
-	c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 4}, 4, CampaignSpec{NoHeader: true, MaxFailures: 1, Quarantine: &quarantine})
+	c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 4}, withMaxFailures(gridConfig(4, false), 1))
 	h := c.Handler()
 	w1 := register(t, h)
 	l := lease(t, h, w1)
@@ -355,16 +398,16 @@ func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 	}
 	// The accepted records are durable despite the budget abort, and the
 	// quarantine stream is grid-ordered.
-	if got, want := out.String(), "0,v\n2,v\n"; got != want {
+	if got, want := readFile(t, files.Results), legacyHeader+"0,v\n2,v\n"; got != want {
 		t.Errorf("results = %q, want %q", got, want)
 	}
-	if got, want := quarantine.String(), `{"expNr":1}`+"\n"+`{"expNr":3}`+"\n"; got != want {
+	if got, want := readFile(t, files.Quarantine), `{"expNr":1}`+"\n"+`{"expNr":3}`+"\n"; got != want {
 		t.Errorf("quarantine = %q, want %q", got, want)
 	}
 }
 
 func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
-	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 4, CampaignSpec{NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, gridConfig(4, false))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // immediate drain: nothing leased, nothing done
 	err := c.Wait(ctx)
@@ -376,12 +419,12 @@ func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
 // TestCoordinatorHeaderSchema pins the lazy-header contract: the
 // schema-correct header is written immediately before the first
 // released row — and never otherwise, so an all-quarantined grid or a
-// resume of an already-complete grid leaves the results writer
-// untouched, exactly like runner.CSVSink.
+// resume of an already-complete grid leaves the results file untouched,
+// exactly like runner.CSVSink.
 func TestCoordinatorHeaderSchema(t *testing.T) {
 	runGrid := func(matrix, fail bool) string {
 		t.Helper()
-		c, out := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, 1, CampaignSpec{ConfigJSON: gridConfig(1, matrix), MaxFailures: -1})
+		c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, withMaxFailures(gridConfig(1, matrix), -1))
 		h := c.Handler()
 		w1 := register(t, h)
 		l := lease(t, h, w1)
@@ -399,10 +442,9 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 		if err := waitDone(t, c); err != nil {
 			t.Fatal(err)
 		}
-		return out.String()
+		return readFile(t, files.Results)
 	}
 
-	legacyHeader := strings.Join(analysis.ExperimentCSVHeader(), ",") + "\n"
 	if got := runGrid(false, false); got != legacyHeader+"0,v\n" {
 		t.Errorf("legacy output = %q, want header+row", got)
 	}
@@ -415,17 +457,20 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 		t.Errorf("all-failure output = %q, want empty (lazy header)", got)
 	}
 	// Resuming a complete grid must not append a second header.
-	c, out := newTestCoordinator(t, ServiceOptions{}, 1, CampaignSpec{ResumePrefix: 1})
+	dir := t.TempDir()
+	prior := legacyHeader + legacyCSV(0, 1)
+	seedCampaign(t, dir, gridConfig(1, false), prior, "")
+	c, files := newTestCoordinator(t, ServiceOptions{Dir: dir, Resume: true}, nil)
 	if err := waitDone(t, c); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != "" {
-		t.Errorf("resume-complete output = %q, want empty", out.String())
+	if got := readFile(t, files.Results); got != prior {
+		t.Errorf("resume-complete output = %q, want it unchanged", got)
 	}
 }
 
 func TestCoordinatorStatus(t *testing.T) {
-	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 6, CampaignSpec{NoHeader: true})
+	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, gridConfig(6, false))
 	h := c.Handler()
 	w1 := register(t, h)
 	lease(t, h, w1)
@@ -444,26 +489,31 @@ func TestCoordinatorStatus(t *testing.T) {
 	}
 }
 
-// TestAddCampaignRejectsBadSpec: a campaign added with caller-owned
-// writers is checked before it reaches the scheduler.
-func TestAddCampaignRejectsBadSpec(t *testing.T) {
-	var out bytes.Buffer
-	for name, spec := range map[string]CampaignSpec{
-		"no config":       {Results: &out},
-		"invalid config":  {ConfigJSON: []byte(`{`), Results: &out},
-		"empty grid":      {ConfigJSON: []byte(`{}`), Results: &out},
-		"no results":      {ConfigJSON: gridConfig(2, false)},
-		"resume past end": {ConfigJSON: gridConfig(2, false), ResumePrefix: 3, Results: &out},
+// TestSubmitRejectsBadConfig: a submitted config is checked before it
+// reaches the scheduler or the service directory, and a rejection does
+// not consume a campaign ID.
+func TestSubmitRejectsBadConfig(t *testing.T) {
+	for name, cfg := range map[string][]byte{
+		"no config":      nil,
+		"invalid config": []byte(`{`),
+		"empty grid":     []byte(`{}`),
 	} {
-		svc, err := NewService(ServiceOptions{FinishWhenDone: true})
+		dir := t.TempDir()
+		svc, err := NewService(ServiceOptions{Dir: dir, FinishWhenDone: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.AddCampaign(spec); err == nil {
-			t.Errorf("%s: AddCampaign accepted %+v", name, spec)
+		if _, err := svc.Submit("", cfg); err == nil {
+			t.Errorf("%s: Submit accepted %q", name, cfg)
 		}
 		if n := len(svc.ListCampaigns()); n != 0 {
-			t.Errorf("%s: %d campaign(s) registered after a rejected add", name, n)
+			t.Errorf("%s: %d campaign(s) registered after a rejected submission", name, n)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("%s: service dir holds %d file(s) after a rejected submission (%v)", name, len(entries), err)
+		}
+		if resp, err := svc.Submit("", gridConfig(2, false)); err != nil || resp.CampaignID != "c1" {
+			t.Errorf("%s: next submission = %+v, %v; want c1", name, resp, err)
 		}
 	}
 }

@@ -101,18 +101,12 @@ func TestFabricChaosEquivalence(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	var csvBuf, qBuf bytes.Buffer
-	coord, _ := newTestCoordinator(t, ServiceOptions{
+	coord, files := newTestCoordinator(t, ServiceOptions{
 		LeaseSize: 2,
 		LeaseTTL:  400 * time.Millisecond,
 		Metrics:   reg,
 		Logf:      t.Logf,
-	}, total, CampaignSpec{
-		ConfigJSON:  []byte(e2eConfig),
-		Results:     &csvBuf,
-		Quarantine:  &qBuf,
-		MaxFailures: -1,
-	})
+	}, withMaxFailures([]byte(e2eConfig), -1))
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -177,12 +171,7 @@ func TestFabricChaosEquivalence(t *testing.T) {
 	if got := merged(t, coord); got != total {
 		t.Fatalf("merged %d/%d grid points", got, total)
 	}
-	if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
-		t.Errorf("merged CSV differs from the sequential run:\nfabric:\n%s\nsequential:\n%s", csvBuf.Bytes(), wantCSV)
-	}
-	if !bytes.Equal(qBuf.Bytes(), wantQuarantine) {
-		t.Errorf("merged quarantine differs:\nfabric: %q\nsequential: %q", qBuf.Bytes(), wantQuarantine)
-	}
+	assertMergedFiles(t, files, wantCSV, wantQuarantine)
 	snap := reg.Snapshot()
 	if snap.Counters["fabric.leases_expired"] == 0 {
 		t.Errorf("no lease expired — the victim's death went undetected: %v", snap.Counters)
@@ -202,16 +191,8 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second end-to-end campaign")
 	}
-	wantCSV, _ := sequentialReference(t)
-	parsed, err := config.Parse(bytes.NewReader([]byte(e2eConfig)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := parsed.Campaign.NumExperiments()
-
-	var csvBuf bytes.Buffer
-	coord, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 3, LeaseTTL: 2 * time.Second},
-		total, CampaignSpec{ConfigJSON: []byte(e2eConfig), Results: &csvBuf})
+	wantCSV, wantQuarantine := sequentialReference(t)
+	coord, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 3, LeaseTTL: 2 * time.Second}, []byte(e2eConfig))
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -247,8 +228,18 @@ func TestFabricDistributedEquivalence(t *testing.T) {
 	if err := <-coordErr; err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	if !bytes.Equal(csvBuf.Bytes(), wantCSV) {
-		t.Errorf("distributed CSV differs from sequential:\nfabric:\n%s\nsequential:\n%s", csvBuf.Bytes(), wantCSV)
+	assertMergedFiles(t, files, wantCSV, wantQuarantine)
+}
+
+// assertMergedFiles compares a campaign's merged results and quarantine
+// files byte for byte with the sequential run's.
+func assertMergedFiles(t *testing.T, files runner.CampaignFiles, wantCSV, wantQuarantine []byte) {
+	t.Helper()
+	if got := readFile(t, files.Results); got != string(wantCSV) {
+		t.Errorf("merged CSV differs from the sequential run:\nfabric:\n%s\nsequential:\n%s", got, wantCSV)
+	}
+	if got := readFile(t, files.Quarantine); got != string(wantQuarantine) {
+		t.Errorf("merged quarantine differs:\nfabric: %q\nsequential: %q", got, wantQuarantine)
 	}
 }
 
@@ -278,8 +269,7 @@ var multiCampaignConfigs = []string{
 }
 
 // TestFabricMultiCampaignChaosEquivalence is the multi-campaign failure
-// drill: three campaigns submitted concurrently to ONE submit-mode
-// service, three workers sharing the queue, one worker killed
+// drill: three campaigns submitted concurrently to ONE service, three workers sharing the queue, one worker killed
 // mid-campaign while holding a lease. Every campaign's merged CSV and
 // quarantine must come out byte-identical to its own sequential run —
 // the namespaced lease tables and per-campaign release frontiers must
@@ -381,8 +371,9 @@ func TestFabricMultiCampaignChaosEquivalence(t *testing.T) {
 		}(i)
 	}
 
-	// Submit mode never self-finishes: wait for every campaign to reach
-	// done, then drain so the workers exit cleanly.
+	// Without FinishWhenDone the service never finishes on its own: wait
+	// for every campaign to reach done, then drain so the workers exit
+	// cleanly.
 	for {
 		states := svc.ListCampaigns()
 		done := 0

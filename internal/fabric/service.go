@@ -55,16 +55,14 @@ const DefaultFairnessCap = 4
 
 // ServiceOptions configure a multi-campaign fabric Service.
 type ServiceOptions struct {
-	// Dir, when set, enables submit mode: campaigns arrive over the
-	// /v1/campaigns API and every campaign's artifacts live side by side
-	// in this directory under the runner.CampaignFilesIn layout. When
-	// empty the service only runs campaigns added with AddCampaign
-	// (`comfase serve -config`).
+	// Dir is the service directory (required): every campaign's config,
+	// merged results, quarantine and status document live side by side
+	// in it under the runner.CampaignFilesIn layout.
 	Dir string
-	// Resume, with Dir, re-adopts every campaign already in the
-	// directory: each `<id>.config.json` is re-submitted with its merged
-	// contiguous prefix skipped, so a restarted service picks up exactly
-	// where the previous incarnation's frontier stopped.
+	// Resume re-adopts every campaign already in Dir: each
+	// `<id>.config.json` is re-submitted with its merged contiguous prefix
+	// skipped, so a restarted service picks up exactly where the previous
+	// incarnation's frontier stopped.
 	Resume bool
 	// LeaseSize is the range length per lease (<= 0 selects
 	// DefaultLeaseSize).
@@ -77,8 +75,8 @@ type ServiceOptions struct {
 	FairnessCap int
 	// FinishWhenDone makes Wait return once every submitted campaign is
 	// terminal, and makes a campaign's fatal error the service's — the
-	// single-campaign `serve -config` behavior. Without it the service
-	// runs until drained, accepting submissions forever.
+	// `serve -config` behavior. Without it the service runs until
+	// drained, accepting submissions forever.
 	FinishWhenDone bool
 	// Metrics receives the fabric counters and gauges; nil disables.
 	Metrics *obs.Registry
@@ -86,34 +84,6 @@ type ServiceOptions struct {
 	Now func() time.Time
 	// Logf, when non-nil, receives one line per notable event.
 	Logf func(format string, args ...any)
-}
-
-// CampaignSpec describes a campaign added with AddCampaign: its config,
-// failure budget and caller-owned output writers. The grid geometry and
-// CSV schema come from the config. Submitted campaigns take their budget
-// from the config too and write their own files under the service
-// directory instead.
-type CampaignSpec struct {
-	// ConfigJSON is the raw campaign config file; it is shipped to
-	// workers with their first lease grant.
-	ConfigJSON []byte
-	// MaxFailures is the campaign failure budget, with the runner's
-	// semantics: 0 aborts on the first quarantined experiment, negative
-	// is unlimited. Already-merged (resumed) failures do not count.
-	MaxFailures int
-	// ResumePrefix: grid points below it are already merged; the lease
-	// table starts past them.
-	ResumePrefix int
-	// Results receives the merged CSV stream (header + rows in expNr
-	// order, byte-identical to a sequential run). Submitted campaigns
-	// leave it nil and write their own results file.
-	Results io.Writer
-	// NoHeader suppresses the CSV header — the resume path appending to
-	// a results file that already carries one.
-	NoHeader bool
-	// Quarantine, when non-nil, receives merged quarantine JSON lines in
-	// expNr order.
-	Quarantine io.Writer
 }
 
 // chunkPayload buffers an accepted range until the frontier reaches it.
@@ -145,10 +115,10 @@ type serviceCampaign struct {
 	matrix      bool
 	maxFailures int
 	configJSON  []byte
-	files       runner.CampaignFiles // zero value for AddCampaign campaigns
+	files       runner.CampaignFiles
 	table       *LeaseTable
 
-	// Sinks. cw writes through to the primary sink and the in-memory
+	// Sinks. cw writes through to the results file and the in-memory
 	// mirror feeding the results snapshot; quarantine likewise.
 	cw         *csv.Writer
 	quarantine io.Writer
@@ -171,7 +141,7 @@ type serviceCampaign struct {
 	// through worker or lease-table state.
 	snapshot atomic.Pointer[CampaignResultsResponse]
 
-	rowsMerged     *obs.Counter // labeled per campaign in submit mode
+	rowsMerged     *obs.Counter // labeled per campaign
 	failuresMerged *obs.Counter
 }
 
@@ -179,13 +149,12 @@ type serviceCampaign struct {
 // grids, each with its own namespaced lease table, generation counters,
 // release frontier and output files, drained oldest-first by a shared
 // worker fleet under a per-campaign fairness cap. Create with
-// NewService, mount Handler, add campaigns (Submit or the API in submit
-// mode, AddCampaign with caller-owned writers otherwise), then Wait.
+// NewService, mount Handler, submit campaigns (Submit or the
+// /v1/campaigns API), then Wait.
 type Service struct {
-	opts       ServiceOptions
-	now        func() time.Time
-	mux        *http.ServeMux
-	submitMode bool
+	opts ServiceOptions
+	now  func() time.Time
+	mux  *http.ServeMux
 
 	mu        sync.Mutex
 	campaigns map[string]*serviceCampaign
@@ -198,7 +167,7 @@ type Service struct {
 	doneCh    chan struct{}
 	doneOnce  sync.Once
 
-	rowsMerged     *obs.Counter
+	rowsMerged     *obs.Counter // aggregate over all campaigns
 	failuresMerged *obs.Counter
 	workersLive    *obs.Gauge
 	workersSeen    *obs.Counter
@@ -206,9 +175,12 @@ type Service struct {
 	finished       *obs.Counter
 }
 
-// NewService validates the options and, in resume mode, re-adopts every
-// campaign already present in the service directory.
+// NewService validates the options, creates the service directory and,
+// with Resume, re-adopts every campaign already present in it.
 func NewService(opts ServiceOptions) (*Service, error) {
+	if opts.Dir == "" {
+		return nil, errors.New("fabric: the campaign service needs a service directory")
+	}
 	if opts.LeaseSize <= 0 {
 		opts.LeaseSize = DefaultLeaseSize
 	}
@@ -225,7 +197,6 @@ func NewService(opts ServiceOptions) (*Service, error) {
 	s := &Service{
 		opts:           opts,
 		now:            now,
-		submitMode:     opts.Dir != "",
 		campaigns:      make(map[string]*serviceCampaign),
 		workers:        make(map[string]*workerInfo),
 		doneCh:         make(chan struct{}),
@@ -236,14 +207,12 @@ func NewService(opts ServiceOptions) (*Service, error) {
 		submitted:      opts.Metrics.Counter("fabric.campaigns_submitted"),
 		finished:       opts.Metrics.Counter("fabric.campaigns_finished"),
 	}
-	if s.submitMode {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("fabric: service dir: %w", err)
-		}
-		if opts.Resume {
-			if err := s.resumeDir(); err != nil {
-				return nil, err
-			}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("fabric: service dir: %w", err)
+	}
+	if opts.Resume {
+		if err := s.resumeDir(); err != nil {
+			return nil, err
 		}
 	}
 	s.mux = http.NewServeMux()
@@ -285,12 +254,8 @@ func campaignGrid(cfgJSON []byte) (*runner.Grid, int, error) {
 }
 
 // Submit enqueues a new campaign from its raw config file, persists the
-// config under the service directory, and returns the assigned ID. Only
-// valid in submit mode.
+// config under the service directory, and returns the assigned ID.
 func (s *Service) Submit(name string, cfgJSON []byte) (SubmitResponse, error) {
-	if !s.submitMode {
-		return SubmitResponse{}, errors.New("fabric: campaign submission requires a service directory (start serve with -dir)")
-	}
 	grid, budget, err := campaignGrid(cfgJSON)
 	if err != nil {
 		return SubmitResponse{}, fmt.Errorf("fabric: submitted config: %w", err)
@@ -307,7 +272,7 @@ func (s *Service) Submit(name string, cfgJSON []byte) (SubmitResponse, error) {
 	if err := os.WriteFile(files.Config, cfgJSON, 0o644); err != nil {
 		return SubmitResponse{}, fmt.Errorf("fabric: persisting campaign config: %w", err)
 	}
-	c, err := s.addCampaign(id, name, CampaignSpec{ConfigJSON: cfgJSON, MaxFailures: budget}, grid)
+	c, err := s.addCampaign(id, name, cfgJSON, grid, budget, 0)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
@@ -343,112 +308,58 @@ func (s *Service) resumeDir() error {
 				name = st.Name
 			}
 		}
-		if _, err := s.addCampaign(files.ID, name, CampaignSpec{
-			ConfigJSON: cfgJSON, MaxFailures: budget, ResumePrefix: prefix,
-		}, grid); err != nil {
+		if _, err := s.addCampaign(files.ID, name, cfgJSON, grid, budget, prefix); err != nil {
 			return err
 		}
 		s.logf("resumed campaign %s: %d/%d grid points already merged", files.ID, prefix, grid.Size())
-		if _, n, ok := splitTrailingCampaignInt(files.ID); ok && n >= s.nextSeq {
+		if _, n, ok := runner.SplitTrailingInt(files.ID); ok && n >= s.nextSeq {
 			s.nextSeq = n
 		}
 	}
 	return nil
 }
 
-// splitTrailingCampaignInt extracts a campaign ID's trailing number so
-// resumed services continue numbering past it.
-func splitTrailingCampaignInt(id string) (prefix string, n int, ok bool) {
-	i := len(id)
-	for i > 0 && id[i-1] >= '0' && id[i-1] <= '9' {
-		i--
-	}
-	if i == len(id) {
-		return id, 0, false
-	}
-	n, err := strconv.Atoi(id[i:])
-	if err != nil {
-		return id, 0, false
-	}
-	return id[:i], n, true
-}
-
-// AddCampaign enqueues a campaign whose merged outputs go to the
-// caller's writers and returns its ID ("c1" for a service's first
-// campaign). It is how `comfase serve -config` runs its single grid.
-func (s *Service) AddCampaign(spec CampaignSpec) (string, error) {
-	if spec.Results == nil {
-		return "", errors.New("fabric: campaign needs a results writer")
-	}
-	grid, _, err := campaignGrid(spec.ConfigJSON)
-	if err != nil {
-		return "", fmt.Errorf("fabric: campaign config: %w", err)
-	}
-	s.mu.Lock()
-	s.nextSeq++
-	id := "c" + strconv.Itoa(s.nextSeq)
-	s.mu.Unlock()
-	c, err := s.addCampaign(id, "", spec, grid)
-	if err != nil {
-		return "", err
-	}
-	return c.id, nil
-}
-
 // addCampaign builds the campaign's lease table over the grid, opens its
-// sinks — the spec's writers, or the campaign's own files under the
-// service directory when the spec has none — and registers it with the
-// scheduler.
-func (s *Service) addCampaign(id, name string, spec CampaignSpec, grid *runner.Grid) (*serviceCampaign, error) {
+// files under the service directory — past a resumed prefix of already
+// merged grid points, when prefix > 0 — and registers it with the
+// scheduler. budget is the campaign failure budget, with the runner's
+// semantics: 0 aborts on the first quarantined experiment, negative is
+// unlimited, and resumed failures do not count.
+func (s *Service) addCampaign(id, name string, cfgJSON []byte, grid *runner.Grid, budget, prefix int) (*serviceCampaign, error) {
 	base, total := grid.Base(), grid.Size()
-	if spec.ResumePrefix < 0 || spec.ResumePrefix > total {
-		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", spec.ResumePrefix, total)
+	if prefix < 0 || prefix > total {
+		return nil, fmt.Errorf("fabric: resume prefix %d outside grid of %d", prefix, total)
 	}
-	var labels []string
-	if s.submitMode {
-		labels = []string{"campaign", id}
-	}
-	table, err := NewLeaseTable(base, total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, labels...)
+	table, err := NewLeaseTable(base, total, s.opts.LeaseSize, s.opts.LeaseTTL, s.now, s.opts.Metrics, "campaign", id)
 	if err != nil {
 		return nil, err
 	}
 	c := &serviceCampaign{
 		id: id, name: name,
 		base: base, total: total,
-		matrix: grid.Matrix(), maxFailures: spec.MaxFailures,
-		configJSON: spec.ConfigJSON,
-		table:      table,
-		quarantine: spec.Quarantine,
-		mem:        &bytes.Buffer{},
-		memQ:       &bytes.Buffer{},
-		buffered:   make(map[int]chunkPayload),
+		matrix: grid.Matrix(), maxFailures: budget,
+		configJSON:     cfgJSON,
+		files:          runner.CampaignFilesIn(s.opts.Dir, id),
+		table:          table,
+		mem:            &bytes.Buffer{},
+		memQ:           &bytes.Buffer{},
+		buffered:       make(map[int]chunkPayload),
+		rowsMerged:     s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", id)),
+		failuresMerged: s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", id)),
 	}
-	if s.submitMode {
-		c.rowsMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", id))
-		c.failuresMerged = s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", id))
-	} else {
-		c.rowsMerged = s.rowsMerged
-		c.failuresMerged = s.failuresMerged
+	if err := c.openSinks(prefix > 0); err != nil {
+		return nil, err
 	}
-	if spec.Results == nil {
-		c.files = runner.CampaignFilesIn(s.opts.Dir, id)
-		if err := s.openCampaignSinks(c, spec.ResumePrefix > 0); err != nil {
-			return nil, err
-		}
-	} else {
-		c.cw = csv.NewWriter(io.MultiWriter(spec.Results, c.mem))
-		c.headerPending = !spec.NoHeader
-	}
-	if spec.ResumePrefix > 0 {
-		table.MarkDonePrefix(base + spec.ResumePrefix)
+	if prefix > 0 {
+		table.MarkDonePrefix(base + prefix)
 		for c.nextChunk < table.NumChunks() {
 			_, to, _ := table.Bounds(c.nextChunk)
-			if to > base+spec.ResumePrefix {
+			if to > base+prefix {
 				break
 			}
 			c.nextChunk++
 		}
-		c.merged = spec.ResumePrefix
+		c.merged = prefix
 	}
 
 	s.mu.Lock()
@@ -467,25 +378,22 @@ func (s *Service) addCampaign(id, name string, spec CampaignSpec, grid *runner.G
 	return c, nil
 }
 
-// openCampaignSinks opens (or, resuming, re-opens in append mode) a
-// submit-mode campaign's results and quarantine files, loading the
-// already-merged bytes into the in-memory mirrors so the results
-// endpoint sees the full stream.
-func (s *Service) openCampaignSinks(c *serviceCampaign, resumed bool) error {
+// openSinks opens the campaign's results and quarantine files: fresh, or
+// — resuming a merged prefix, whose torn trailing lines ReadMergedPrefix
+// already cut — both in append mode, with the merged bytes loaded into
+// the in-memory mirrors so the results endpoint sees the full stream.
+// The CSV header is written with the first row, so it is still pending
+// exactly when the results file is empty (an all-quarantined prefix).
+func (c *serviceCampaign) openSinks(resumed bool) error {
 	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	appendMode := false
 	if resumed {
-		if st, err := os.Stat(c.files.Results); err == nil && st.Size() > 0 {
-			appendMode = true
-		}
-	}
-	if appendMode {
 		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		if data, err := os.ReadFile(c.files.Results); err == nil {
-			c.mem.Write(data)
-		}
-		if data, err := os.ReadFile(c.files.Quarantine); err == nil {
-			c.memQ.Write(data)
+		for path, mirror := range map[string]*bytes.Buffer{c.files.Results: c.mem, c.files.Quarantine: c.memQ} {
+			data, err := os.ReadFile(path)
+			if err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("fabric: campaign %s: %w", c.id, err)
+			}
+			mirror.Write(data)
 		}
 	}
 	rf, err := os.OpenFile(c.files.Results, mode, 0o644)
@@ -499,8 +407,8 @@ func (s *Service) openCampaignSinks(c *serviceCampaign, resumed bool) error {
 	}
 	c.closers = append(c.closers, rf, qf)
 	c.cw = csv.NewWriter(io.MultiWriter(rf, c.mem))
-	c.quarantine = qf
-	c.headerPending = !appendMode
+	c.quarantine = io.MultiWriter(qf, c.memQ)
+	c.headerPending = c.mem.Len() == 0
 	return nil
 }
 
@@ -548,11 +456,10 @@ func (c *serviceCampaign) statusLocked() CampaignStatus {
 	return st
 }
 
-// publishLocked refreshes the campaign's atomic results snapshot and,
-// for a campaign with its own files, its on-disk status document.
-// Service.mu held. The snapshot is the results endpoint's ONLY data
-// source; it carries what the frontier has durably released, never
-// in-flight worker state.
+// publishLocked refreshes the campaign's atomic results snapshot and its
+// on-disk status document. Service.mu held. The snapshot is the results
+// endpoint's ONLY data source; it carries what the frontier has durably
+// released, never in-flight worker state.
 func (s *Service) publishLocked(c *serviceCampaign) {
 	st := c.statusLocked()
 	c.snapshot.Store(&CampaignResultsResponse{
@@ -563,10 +470,8 @@ func (s *Service) publishLocked(c *serviceCampaign) {
 		CSV:        c.mem.String(),
 		Quarantine: c.memQ.String(),
 	})
-	if c.files.Status != "" {
-		if err := writeStatusDoc(c.files.Status, st); err != nil {
-			s.logf("campaign %s: status doc: %v", c.id, err)
-		}
+	if err := writeStatusDoc(c.files.Status, st); err != nil {
+		s.logf("campaign %s: status doc: %v", c.id, err)
 	}
 }
 
@@ -613,8 +518,8 @@ func (s *Service) acquire(workerID string) (c *serviceCampaign, lease Lease, sta
 		if finishWhenDone && terminal > 0 {
 			return nil, Lease{}, AcquireDone
 		}
-		// Submit mode: the queue is empty *right now*, but new campaigns
-		// may arrive any moment — keep the fleet polling.
+		// The queue is empty *right now*, but new campaigns may arrive
+		// any moment — keep the fleet polling.
 		return nil, Lease{}, AcquireEmpty
 	}
 	// Pass 1: oldest-first, honoring the fairness cap.
@@ -699,9 +604,9 @@ func (s *Service) Results(id string) (*CampaignResultsResponse, bool) {
 	return c.snapshot.Load(), true
 }
 
-// failCampaign records a campaign-fatal error. In FinishWhenDone mode
-// (`serve -config`) the campaign's failure is the service's failure; in
-// submit mode the service keeps serving the other campaigns.
+// failCampaign records a campaign-fatal error. With FinishWhenDone
+// (`serve -config`) the campaign's failure is the service's failure;
+// otherwise the service keeps serving the other campaigns.
 func (s *Service) failCampaign(c *serviceCampaign, err error) {
 	s.mu.Lock()
 	fresh := c.failedErr == nil && !c.cancelled
@@ -1214,8 +1119,8 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // finishedDone reports whether the whole service is finishing: every
-// campaign terminal AND the run configured to end then. In submit mode
-// the service keeps running (new submissions may arrive), so workers are
+// campaign terminal AND the run configured to end then. Otherwise the
+// service keeps running (new submissions may arrive), so workers are
 // never told Done — they exit on Draining at shutdown instead.
 func (s *Service) finishedDone() bool {
 	return s.opts.FinishWhenDone && s.allTerminal()
@@ -1260,10 +1165,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeSubmitRequest(data)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.submitMode {
-		http.Error(w, "fabric: campaign submission requires a service directory (start serve with -dir)", http.StatusForbidden)
 		return
 	}
 	resp, err := s.Submit(req.Name, req.Config)
@@ -1344,22 +1245,15 @@ func (s *Service) releaseLocked(c *serviceCampaign) error {
 					return fmt.Errorf("fabric: results write: %w", err)
 				}
 				c.rowsMerged.Inc()
-				if s.submitMode {
-					s.rowsMerged.Inc() // keep the aggregate counter aggregate
-				}
+				s.rowsMerged.Inc()
 				ri++
 			} else {
 				rec := append(payload.failures[fi].Record, '\n')
-				if c.quarantine != nil {
-					if _, err := c.quarantine.Write(rec); err != nil {
-						return fmt.Errorf("fabric: quarantine write: %w", err)
-					}
+				if _, err := c.quarantine.Write(rec); err != nil {
+					return fmt.Errorf("fabric: quarantine write: %w", err)
 				}
-				c.memQ.Write(rec)
 				c.failuresMerged.Inc()
-				if s.submitMode {
-					s.failuresMerged.Inc()
-				}
+				s.failuresMerged.Inc()
 				fi++
 			}
 			c.merged++

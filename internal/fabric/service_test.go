@@ -28,9 +28,9 @@ const submitServiceConfig = `{
   }
 }`
 
-// newSchedulerService builds a submit-mode service on a fake clock with
-// campaigns of the given grid sizes, added directly (bypassing the
-// submit API) so lease geometry is exact.
+// newSchedulerService builds a service on a fake clock with campaigns of
+// the given grid sizes, added directly (bypassing the submit API) so
+// lease geometry is exact.
 func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids ...int) (*Service, []string) {
 	t.Helper()
 	svc, err := NewService(ServiceOptions{
@@ -51,7 +51,7 @@ func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.addCampaign(id, "", CampaignSpec{ConfigJSON: cfg, MaxFailures: -1}, grid); err != nil {
+		if _, err := svc.addCampaign(id, "", cfg, grid, -1, 0); err != nil {
 			t.Fatalf("addCampaign %s: %v", id, err)
 		}
 		ids = append(ids, id)
@@ -60,8 +60,8 @@ func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids 
 }
 
 // legacyRows fabricates schema-valid legacy result records for [from,
-// to), so the files a submit-mode service writes stay parseable by the
-// resume path's strict reader.
+// to), so the files a service writes stay parseable by the resume
+// path's strict reader.
 func legacyRows(from, to int) []ResultRow {
 	var rows []ResultRow
 	for nr := from; nr < to; nr++ {
@@ -381,13 +381,14 @@ func TestServiceSubmitAPI(t *testing.T) {
 	}
 }
 
-// TestServiceSubmitRequiresDir pins the single-campaign guard: a service
-// without a service directory refuses submissions with 403.
+// TestServiceSubmitRequiresDir pins the one service shape: every
+// campaign's files live in the service directory, so a service without
+// one is refused at construction.
 func TestServiceSubmitRequiresDir(t *testing.T) {
-	c, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 2}, 2, CampaignSpec{NoHeader: true})
-	code := postProto(t, c.Handler(), PathCampaigns, SubmitRequest{Config: json.RawMessage(`{}`)}, nil)
-	if code != http.StatusForbidden {
-		t.Fatalf("submit without -dir: HTTP %d, want 403", code)
+	for _, opts := range []ServiceOptions{{}, {FinishWhenDone: true, Resume: true}} {
+		if svc, err := NewService(opts); err == nil || svc != nil {
+			t.Errorf("NewService(%+v) = %v, %v; want an error", opts, svc, err)
+		}
 	}
 }
 
@@ -465,8 +466,48 @@ func TestServiceResumeDir(t *testing.T) {
 	resumed.finish(nil)
 }
 
-// TestRunnerFilesHelpers covers the shared per-campaign file-layout
-// helpers the service and CLI resume paths agree on.
+// TestServiceResumeQuarantineOnlyPrefix pins resume over a merged prefix
+// that is all quarantine records: the results file is still empty (its
+// header comes with the first row), yet the prefix counts as merged, so
+// the quarantine file must be appended to — not truncated — and the
+// header must still be written before the first new row. The merged
+// files then match a sequential run's byte for byte.
+func TestServiceResumeQuarantineOnlyPrefix(t *testing.T) {
+	dir := t.TempDir()
+	record := `{"expNr":0,"attack":"delay","value":1,"startS":17,"durationS":1,"class":"panic","error":"boom","attempts":1}` + "\n"
+	files := seedCampaign(t, dir, withMaxFailures(gridConfig(3, false), -1), "", record)
+	svc, err := NewService(ServiceOptions{Dir: dir, Resume: true, FinishWhenDone: true, LeaseSize: 1, LeaseTTL: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got := merged(t, svc); got != 1 {
+		t.Fatalf("resumed c1 merged %d, want 1", got)
+	}
+	if snap, _ := svc.Results("c1"); snap == nil || snap.Quarantine != record {
+		t.Errorf("resumed results snapshot lost the merged quarantine: %+v", snap)
+	}
+	h := svc.Handler()
+	w1 := register(t, h)
+	for i := 0; i < 2; i++ {
+		lr := leaseFull(t, h, w1)
+		l := Lease{Chunk: lr.Chunk, From: lr.From, To: lr.To, Gen: lr.Gen}
+		if resp := completeLease(t, h, w1, "c1", l); !resp.OK {
+			t.Fatalf("completion %d rejected: %+v", i, resp)
+		}
+	}
+	if err := waitDone(t, svc); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got, want := readFile(t, files.Results), legacyHeader+legacyCSV(1, 3); got != want {
+		t.Errorf("results after resume = %q, want header + rows 1-2 %q", got, want)
+	}
+	if got := readFile(t, files.Quarantine); got != record {
+		t.Errorf("quarantine after resume = %q, want the merged record kept %q", got, record)
+	}
+}
+
+// TestRunnerFilesHelpers covers the per-campaign file-layout helpers
+// the service's submit and resume paths agree on.
 func TestRunnerFilesHelpers(t *testing.T) {
 	dir := t.TempDir()
 	for _, id := range []string{"c10", "c2", "other"} {

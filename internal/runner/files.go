@@ -1,12 +1,11 @@
 package runner
 
 // This file holds the per-campaign file layout and resume-prefix
-// helpers shared by the multi-campaign fabric service and the CLI. A
-// submit-mode coordinator keeps every campaign's artifacts side by side
-// in one directory; these helpers are the single source of truth for
-// that naming, so the service, `comfase serve -dir -resume` and
-// operators reading the directory all agree on which file belongs to
-// which campaign.
+// helpers of the multi-campaign fabric service. The service keeps every
+// campaign's artifacts side by side in one directory; these helpers are
+// the single source of truth for that naming, so the service,
+// `comfase serve -dir -resume` and operators reading the directory all
+// agree on which file belongs to which campaign.
 
 import (
 	"bytes"
@@ -14,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"comfase/internal/core"
@@ -73,8 +73,8 @@ func ListCampaignDirs(dir string) ([]CampaignFiles, error) {
 // prefix, then any trailing integer by value, falling back to plain
 // string order.
 func lessNumericAware(a, b string) bool {
-	pa, na, aok := splitTrailingInt(a)
-	pb, nb, bok := splitTrailingInt(b)
+	pa, na, aok := SplitTrailingInt(a)
+	pb, nb, bok := SplitTrailingInt(b)
 	if aok && bok && pa == pb {
 		if na != nb {
 			return na < nb
@@ -83,16 +83,17 @@ func lessNumericAware(a, b string) bool {
 	return a < b
 }
 
-func splitTrailingInt(s string) (prefix string, n int, ok bool) {
+// SplitTrailingInt splits a campaign ID such as "c12" into its prefix
+// and trailing number. ok is false when s has no trailing digits or they
+// overflow an int.
+func SplitTrailingInt(s string) (prefix string, n int, ok bool) {
 	i := len(s)
 	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
 		i--
 	}
-	if i == len(s) {
+	n, err := strconv.Atoi(s[i:])
+	if err != nil {
 		return s, 0, false
-	}
-	for _, c := range s[i:] {
-		n = n*10 + int(c-'0')
 	}
 	return s[:i], n, true
 }
@@ -117,11 +118,11 @@ func ContiguousPrefix(base, total int, rows map[int]core.ExperimentResult, fails
 	return prefix, len(rows) + len(fails) - prefix
 }
 
-// ReadMergedPrefix reads a coordinator's merged results (and optional
-// quarantine) files, truncates any partial trailing line a mid-write
-// crash left behind, and returns the contiguous done-prefix length.
-// Errors name the offending file — several campaigns share a directory
-// in submit mode, so "which file was rejected" must never be ambiguous.
+// ReadMergedPrefix reads a coordinator's merged results and quarantine
+// files, truncates any partial trailing line a mid-write crash left
+// behind, and returns the contiguous done-prefix length.
+// Errors name the offending file — several campaigns share a service
+// directory, so "which file was rejected" must never be ambiguous.
 func ReadMergedPrefix(resultsPath, quarantinePath string, base, total int) (prefix int, err error) {
 	if err := TruncateToLastNewline(resultsPath); err != nil {
 		return 0, fmt.Errorf("results file %s: %w", resultsPath, err)
@@ -130,14 +131,12 @@ func ReadMergedPrefix(resultsPath, quarantinePath string, base, total int) (pref
 	if err != nil {
 		return 0, fmt.Errorf("results file %s: %w", resultsPath, err)
 	}
-	fails := map[int]core.ExperimentFailure{}
-	if quarantinePath != "" {
-		if err := TruncateToLastNewline(quarantinePath); err != nil {
-			return 0, fmt.Errorf("quarantine file %s: %w", quarantinePath, err)
-		}
-		if fails, err = ReadQuarantineFile(quarantinePath); err != nil {
-			return 0, fmt.Errorf("quarantine file %s: %w", quarantinePath, err)
-		}
+	if err := TruncateToLastNewline(quarantinePath); err != nil {
+		return 0, fmt.Errorf("quarantine file %s: %w", quarantinePath, err)
+	}
+	fails, err := ReadQuarantineFile(quarantinePath)
+	if err != nil {
+		return 0, fmt.Errorf("quarantine file %s: %w", quarantinePath, err)
 	}
 	prefix, extra := ContiguousPrefix(base, total, rows, fails)
 	if extra > 0 {
