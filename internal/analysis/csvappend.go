@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"encoding/csv"
+	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -54,8 +57,8 @@ func csvFieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(r1)
 }
 
-// appendCSVHeader appends the header fields as one CSV row.
-func appendCSVHeader(buf []byte, fields []string) []byte {
+// appendCSVRecord appends the fields as one CSV row.
+func appendCSVRecord(buf []byte, fields []string) []byte {
 	for i, f := range fields {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -65,14 +68,32 @@ func appendCSVHeader(buf []byte, fields []string) []byte {
 	return append(buf, '\n')
 }
 
-// AppendExperimentCSVHeader appends the ExperimentCSVHeader row to buf.
-func AppendExperimentCSVHeader(buf []byte) []byte {
-	return appendCSVHeader(buf, ExperimentCSVHeader())
+// CSVHeader returns the columns of the results schema: MatrixCSVHeader's
+// for matrix grids, whose rows carry a scenario label, and
+// ExperimentCSVHeader's for single campaigns.
+func CSVHeader(matrix bool) []string {
+	if matrix {
+		return MatrixCSVHeader()
+	}
+	return ExperimentCSVHeader()
 }
 
-// AppendMatrixCSVHeader appends the MatrixCSVHeader row to buf.
-func AppendMatrixCSVHeader(buf []byte) []byte {
-	return appendCSVHeader(buf, MatrixCSVHeader())
+// AppendCSVHeader appends the header row of the results schema matrix
+// selects.
+func AppendCSVHeader(buf []byte, matrix bool) []byte {
+	return appendCSVRecord(buf, CSVHeader(matrix))
+}
+
+// AppendCSVRow appends one result row (terminated with '\n') in the
+// schema its scenario label selects: the matrix schema for labelled
+// rows, the single-campaign one otherwise. It is the one encoding of a
+// results-file row, whether a local sink writes it or a fabric worker
+// ships it to the coordinator.
+func AppendCSVRow(buf []byte, e core.ExperimentResult) []byte {
+	if e.Spec.Scenario != "" {
+		return appendMatrixCSVRow(buf, e)
+	}
+	return AppendExperimentCSVRow(buf, e)
 }
 
 // AppendExperimentCSVRow appends one result row (terminated with '\n')
@@ -84,9 +105,9 @@ func AppendExperimentCSVRow(buf []byte, e core.ExperimentResult) []byte {
 	return appendExperimentTail(buf, e)
 }
 
-// AppendMatrixCSVRow appends one result row in the MatrixCSVHeader
+// appendMatrixCSVRow appends one result row in the MatrixCSVHeader
 // schema (scenario column spliced after expNr).
-func AppendMatrixCSVRow(buf []byte, e core.ExperimentResult) []byte {
+func appendMatrixCSVRow(buf []byte, e core.ExperimentResult) []byte {
 	buf = strconv.AppendInt(buf, int64(e.Spec.Nr), 10)
 	buf = append(buf, ',')
 	buf = appendCSVField(buf, e.Spec.Scenario)
@@ -115,4 +136,26 @@ func appendExperimentTail(buf []byte, e core.ExperimentResult) []byte {
 	buf = append(buf, ',')
 	buf = appendCSVField(buf, e.Collider)
 	return append(buf, '\n')
+}
+
+// CheckCSVRow reports whether line is a results row exactly as
+// AppendCSVRow writes it for expNr nr in the schema matrix selects: one
+// CSV record, ending in a single '\n', with the schema's field count and
+// nr in decimal as its first field, that re-encodes to the same bytes.
+// Rows that arrive from other processes are checked with it before they
+// are appended to a results file. (encoding/csv reads a CR LF pair inside
+// a quoted field back as LF, so a row whose labels hold one fails.)
+func CheckCSVRow(line string, matrix bool, nr int) error {
+	r := csv.NewReader(strings.NewReader(line))
+	r.FieldsPerRecord = len(CSVHeader(matrix))
+	rec, err := r.Read()
+	switch {
+	case err != nil:
+		return fmt.Errorf("analysis: row %d: %w", nr, err)
+	case rec[0] != strconv.Itoa(nr):
+		return fmt.Errorf("analysis: row %d starts with expNr %q", nr, rec[0])
+	case string(appendCSVRecord(nil, rec)) != line:
+		return fmt.Errorf("analysis: row %d is not exactly one CSV record as AppendCSVRow writes it", nr)
+	}
+	return nil
 }

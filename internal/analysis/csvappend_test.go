@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"strings"
 	"testing"
 
 	"comfase/internal/classify"
@@ -57,7 +58,7 @@ func TestAppendRowMatchesEncodingCSV(t *testing.T) {
 			t.Fatalf("csv.Write: %v", err)
 		}
 		cw.Flush()
-		got = AppendMatrixCSVRow(nil, e)
+		got = appendMatrixCSVRow(nil, e)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("matrix row mismatch:\n got %q\nwant %q", got, want.Bytes())
 		}
@@ -73,7 +74,7 @@ func TestAppendHeaderMatchesEncodingCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw.Flush()
-	if got := AppendExperimentCSVHeader(nil); !bytes.Equal(got, want.Bytes()) {
+	if got := AppendCSVHeader(nil, false); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("experiment header mismatch:\n got %q\nwant %q", got, want.Bytes())
 	}
 
@@ -83,8 +84,42 @@ func TestAppendHeaderMatchesEncodingCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw.Flush()
-	if got := AppendMatrixCSVHeader(nil); !bytes.Equal(got, want.Bytes()) {
+	if got := AppendCSVHeader(nil, true); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("matrix header mismatch:\n got %q\nwant %q", got, want.Bytes())
+	}
+}
+
+// TestCheckCSVRow pins the row check to the appenders: every row
+// AppendCSVRow writes passes in its own schema, and a line that is not
+// exactly one such row for the given expNr fails.
+func TestCheckCSVRow(t *testing.T) {
+	for _, e := range appendRowCases {
+		line := string(AppendCSVRow(nil, e))
+		if err := CheckCSVRow(line, e.Spec.Scenario != "", e.Spec.Nr); err != nil {
+			t.Errorf("CheckCSVRow(%q) = %v, want nil", line, err)
+		}
+	}
+	row := string(AppendCSVRow(nil, appendRowCases[0])) // expNr 1, delay
+	body := strings.TrimSuffix(row, "\n")
+	for name, line := range map[string]string{
+		"other expNr":        "2" + row[1:],
+		"two records":        row + row,
+		"no newline":         body,
+		"CRLF":               body + "\r\n",
+		"blank line":         row + "\n",
+		"blank line first":   "\n" + row,
+		"needless quotes":    `"1"` + row[1:],
+		"bare quote":         strings.Replace(row, "delay", `de"lay`, 1),
+		"text after quote":   strings.Replace(row, "delay", `"de,lay"x`, 1),
+		"unterminated quote": `1,"delay` + "\n",
+		"empty":              "",
+	} {
+		if err := CheckCSVRow(line, false, 1); err == nil {
+			t.Errorf("%s: CheckCSVRow(%q) accepted", name, line)
+		}
+	}
+	if err := CheckCSVRow(row, true, 1); err == nil {
+		t.Errorf("single-campaign row accepted in the matrix schema: %q", row)
 	}
 }
 

@@ -112,28 +112,29 @@ func (c CampaignSetup) NumExperiments() int {
 	return len(c.Starts) * len(c.Values) * len(c.Durations)
 }
 
-// Experiments expands the grid in the paper's loop order (start, value,
-// duration), numbering from Base.
+// Experiment returns the grid point at index i, 0 <= i <
+// NumExperiments(), in the paper's loop order (start, value, duration);
+// its expNr is Base+i.
+func (c CampaignSetup) Experiment(i int) ExperimentSpec {
+	nd, nv := len(c.Durations), len(c.Values)
+	return ExperimentSpec{
+		Nr:       c.Base + i,
+		Attack:   c.Attack,
+		Params:   c.Params,
+		Scenario: c.Scenario,
+		Factory:  c.Factory,
+		Targets:  c.Targets,
+		Value:    c.Values[i/nd%nv],
+		Start:    c.Starts[i/(nd*nv)],
+		Duration: c.Durations[i%nd],
+	}
+}
+
+// Experiments expands the whole grid, numbering from Base.
 func (c CampaignSetup) Experiments() []ExperimentSpec {
-	out := make([]ExperimentSpec, 0, c.NumExperiments())
-	n := c.Base
-	for _, start := range c.Starts {
-		for _, value := range c.Values {
-			for _, dur := range c.Durations {
-				out = append(out, ExperimentSpec{
-					Nr:       n,
-					Attack:   c.Attack,
-					Params:   c.Params,
-					Scenario: c.Scenario,
-					Factory:  c.Factory,
-					Targets:  c.Targets,
-					Value:    value,
-					Start:    start,
-					Duration: dur,
-				})
-				n++
-			}
-		}
+	out := make([]ExperimentSpec, c.NumExperiments())
+	for i := range out {
+		out[i] = c.Experiment(i)
 	}
 	return out
 }

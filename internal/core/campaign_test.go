@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"comfase/internal/sim/des"
@@ -74,6 +75,31 @@ func TestExperimentGridOrder(t *testing.T) {
 		if e.Nr != i {
 			t.Errorf("exp %d has Nr %d", i, e.Nr)
 		}
+	}
+
+	// Experiment(i) on an asymmetric, offset grid: the paper's nested
+	// loops, and Experiments()[i], at every index.
+	s.Values = []float64{0.2, 0.4, 0.6}
+	s.Durations = []des.Time{des.Second, 2 * des.Second, 3 * des.Second, 4 * des.Second}
+	s.Base = 5
+	all := s.Experiments()
+	i := 0
+	for _, start := range s.Starts {
+		for _, value := range s.Values {
+			for _, dur := range s.Durations {
+				got := s.Experiment(i)
+				if got.Nr != s.Base+i || got.Start != start || got.Value != value || got.Duration != dur {
+					t.Errorf("Experiment(%d) = %+v, want expNr %d start %v value %v duration %v", i, got, s.Base+i, start, value, dur)
+				}
+				if !reflect.DeepEqual(got, all[i]) {
+					t.Errorf("Experiment(%d) = %+v, Experiments()[%d] = %+v", i, got, i, all[i])
+				}
+				i++
+			}
+		}
+	}
+	if len(all) != i {
+		t.Errorf("Experiments() has %d specs, want %d", len(all), i)
 	}
 }
 

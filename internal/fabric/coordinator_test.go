@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +14,8 @@ import (
 	"time"
 
 	"comfase/internal/analysis"
+	"comfase/internal/classify"
+	"comfase/internal/core"
 	"comfase/internal/obs"
 	"comfase/internal/runner"
 )
@@ -61,14 +62,35 @@ func lease(t *testing.T, h http.Handler, worker string) Lease {
 	return Lease{Chunk: resp.Chunk, From: resp.From, To: resp.To, Gen: resp.Gen}
 }
 
-// testRows builds marker result rows for [from, to): each row's fields
-// are (expNr, tag), so merged output identifies which execution won.
+// testLine is a schema-valid results line for expNr nr whose collider
+// column carries tag, so merged output identifies which execution won;
+// a scenario label selects the matrix schema.
+func testLine(nr int, scenario, tag string) string {
+	return string(analysis.AppendCSVRow(nil, core.ExperimentResult{
+		Spec:     core.ExperimentSpec{Nr: nr, Scenario: scenario, Attack: "delay"},
+		Outcome:  classify.Benign,
+		Collider: tag,
+	}))
+}
+
+// testRows builds single-campaign result rows for [from, to) tagged
+// with tag.
 func testRows(from, to int, tag string) []ResultRow {
 	var rows []ResultRow
 	for nr := from; nr < to; nr++ {
-		rows = append(rows, ResultRow{Nr: nr, Fields: []string{strconv.Itoa(nr), tag}})
+		rows = append(rows, ResultRow{Nr: nr, Line: testLine(nr, "", tag)})
 	}
 	return rows
+}
+
+// testCSV renders testRows(from, to, tag) as the lines a merged results
+// file holds.
+func testCSV(from, to int, tag string) string {
+	var b strings.Builder
+	for _, r := range testRows(from, to, tag) {
+		b.WriteString(r.Line)
+	}
+	return b.String()
 }
 
 // gridConfig is a delay campaign config whose grid has total points
@@ -145,16 +167,6 @@ func readFile(t *testing.T, path string) string {
 // legacyHeader is the single-campaign results CSV header line.
 var legacyHeader = strings.Join(analysis.ExperimentCSVHeader(), ",") + "\n"
 
-// legacyCSV renders schema-valid result rows for [from, to) as the CSV
-// lines a merged results file holds.
-func legacyCSV(from, to int) string {
-	var b strings.Builder
-	for _, r := range legacyRows(from, to) {
-		b.WriteString(strings.Join(r.Fields, ",") + "\n")
-	}
-	return b.String()
-}
-
 // merged reports how many grid points of campaign c1 have been written
 // out (the resumed prefix included).
 func merged(t *testing.T, svc *Service) int {
@@ -215,10 +227,7 @@ func TestCoordinatorFrontierOrder(t *testing.T) {
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	want := legacyHeader
-	for nr := 0; nr < 6; nr++ {
-		want += fmt.Sprintf("%d,v\n", nr)
-	}
+	want := legacyHeader + testCSV(0, 6, "v")
 	if got := readFile(t, files.Results); got != want {
 		t.Errorf("merged CSV:\n%q\nwant:\n%q", got, want)
 	}
@@ -277,7 +286,7 @@ func TestCoordinatorStaleCompletionExactlyOnce(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 
-	want := legacyHeader + "0,live\n1,live\n2,live\n3,live\n"
+	want := legacyHeader + testCSV(0, 4, "live")
 	if got := readFile(t, files.Results); got != want {
 		t.Errorf("merged CSV = %q, want each grid point exactly once, from the re-execution: %q", got, want)
 	}
@@ -299,6 +308,13 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 	w1 := register(t, h)
 	l := lease(t, h, w1)
 
+	// withFirstLine is the lease's valid rows with the first row's line
+	// replaced.
+	withFirstLine := func(line string) []ResultRow {
+		rows := testRows(l.From, l.To, "v")
+		rows[0].Line = line
+		return rows
+	}
 	bad := []CompleteRequest{
 		// Missing expNr 1.
 		{WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen, Rows: testRows(l.From, l.From+1, "v")},
@@ -307,6 +323,14 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 		// Duplicated as both result and failure.
 		{WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen, Rows: testRows(l.From, l.To, "v"),
 			Failures: []FailureRow{{Nr: l.From, Record: json.RawMessage(`{}`)}}},
+		// A line whose first field disagrees with its expNr.
+		{WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen, Rows: withFirstLine(testLine(l.From+1, "", "v"))},
+		// Two records in one line.
+		{WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen, Rows: withFirstLine(testLine(l.From, "", "v") + testLine(l.From, "", "v"))},
+		// A line without its trailing newline.
+		{WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen, Rows: withFirstLine(strings.TrimSuffix(testLine(l.From, "", "v"), "\n"))},
+		// A matrix-schema line (one field too many) in a single campaign.
+		{WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen, Rows: withFirstLine(testLine(l.From, "paper-platoon", "v"))},
 	}
 	for i, req := range bad {
 		if code := postProto(t, h, PathComplete, req, nil); code != http.StatusBadRequest {
@@ -324,11 +348,14 @@ func TestCoordinatorCoverageRejected(t *testing.T) {
 	if !cr.OK {
 		t.Fatalf("correct completion after rejections failed: %+v", cr)
 	}
+	if got, want := readFile(t, files.Results), legacyHeader+testCSV(l.From, l.To, "v"); got != want {
+		t.Errorf("merged CSV after rejections = %q, want %q", got, want)
+	}
 }
 
 func TestCoordinatorResumePrefix(t *testing.T) {
 	dir := t.TempDir()
-	prior := legacyHeader + legacyCSV(0, 3)
+	prior := legacyHeader + testCSV(0, 3, "")
 	seedCampaign(t, dir, gridConfig(6, false), prior, "")
 	c, files := newTestCoordinator(t, ServiceOptions{Dir: dir, Resume: true, LeaseSize: 2}, nil)
 	if got := merged(t, c); got != 3 {
@@ -351,7 +378,7 @@ func TestCoordinatorResumePrefix(t *testing.T) {
 	if err := waitDone(t, c); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	want := prior + "3,v\n4,v\n5,v\n"
+	want := prior + testCSV(3, 6, "v")
 	if got := readFile(t, files.Results); got != want {
 		t.Errorf("resumed output = %q, want the prior prefix plus only the un-resumed rows %q", got, want)
 	}
@@ -359,7 +386,7 @@ func TestCoordinatorResumePrefix(t *testing.T) {
 
 func TestCoordinatorResumeComplete(t *testing.T) {
 	dir := t.TempDir()
-	prior := legacyHeader + legacyCSV(0, 4)
+	prior := legacyHeader + testCSV(0, 4, "")
 	seedCampaign(t, dir, gridConfig(4, false), prior, "")
 	c, files := newTestCoordinator(t, ServiceOptions{Dir: dir, Resume: true, LeaseSize: 2}, nil)
 	if err := waitDone(t, c); err != nil {
@@ -381,8 +408,8 @@ func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 	code := postProto(t, h, PathComplete, CompleteRequest{
 		WorkerID: w1, Campaign: "c1", Chunk: l.Chunk, Gen: l.Gen,
 		Rows: []ResultRow{
-			{Nr: 0, Fields: []string{"0", "v"}},
-			{Nr: 2, Fields: []string{"2", "v"}},
+			{Nr: 0, Line: testLine(0, "", "v")},
+			{Nr: 2, Line: testLine(2, "", "v")},
 		},
 		Failures: []FailureRow{
 			{Nr: 1, Record: json.RawMessage(`{"expNr":1}`)},
@@ -398,7 +425,7 @@ func TestCoordinatorQuarantineMergeAndBudget(t *testing.T) {
 	}
 	// The accepted records are durable despite the budget abort, and the
 	// quarantine stream is grid-ordered.
-	if got, want := readFile(t, files.Results), legacyHeader+"0,v\n2,v\n"; got != want {
+	if got, want := readFile(t, files.Results), legacyHeader+testLine(0, "", "v")+testLine(2, "", "v"); got != want {
 		t.Errorf("results = %q, want %q", got, want)
 	}
 	if got, want := readFile(t, files.Quarantine), `{"expNr":1}`+"\n"+`{"expNr":3}`+"\n"; got != want {
@@ -422,9 +449,10 @@ func TestCoordinatorDrainWithoutWorkers(t *testing.T) {
 // resume of an already-complete grid leaves the results file untouched,
 // exactly like runner.CSVSink.
 func TestCoordinatorHeaderSchema(t *testing.T) {
-	runGrid := func(matrix, fail bool) string {
+	// runGrid runs a one-point grid; a scenario label makes it a matrix.
+	runGrid := func(scenario string, fail bool) string {
 		t.Helper()
-		c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, withMaxFailures(gridConfig(1, matrix), -1))
+		c, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 1}, withMaxFailures(gridConfig(1, scenario != ""), -1))
 		h := c.Handler()
 		w1 := register(t, h)
 		l := lease(t, h, w1)
@@ -432,7 +460,7 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 		if fail {
 			req.Failures = []FailureRow{{Nr: 0, Record: []byte(`{"expNr":0}`)}}
 		} else {
-			req.Rows = testRows(0, 1, "v")
+			req.Rows = []ResultRow{{Nr: 0, Line: testLine(0, scenario, "v")}}
 		}
 		var resp CompleteResponse
 		postProto(t, h, PathComplete, req, &resp)
@@ -445,20 +473,20 @@ func TestCoordinatorHeaderSchema(t *testing.T) {
 		return readFile(t, files.Results)
 	}
 
-	if got := runGrid(false, false); got != legacyHeader+"0,v\n" {
+	if got := runGrid("", false); got != legacyHeader+testLine(0, "", "v") {
 		t.Errorf("legacy output = %q, want header+row", got)
 	}
 	matrixHeader := strings.Join(analysis.MatrixCSVHeader(), ",") + "\n"
-	if got := runGrid(true, false); got != matrixHeader+"0,v\n" {
+	if got := runGrid("paper-platoon", false); got != matrixHeader+testLine(0, "paper-platoon", "v") {
 		t.Errorf("matrix output = %q, want header+row", got)
 	}
 	// All experiments quarantined: no rows, so no header either.
-	if got := runGrid(false, true); got != "" {
+	if got := runGrid("", true); got != "" {
 		t.Errorf("all-failure output = %q, want empty (lazy header)", got)
 	}
 	// Resuming a complete grid must not append a second header.
 	dir := t.TempDir()
-	prior := legacyHeader + legacyCSV(0, 1)
+	prior := legacyHeader + testCSV(0, 1, "")
 	seedCampaign(t, dir, gridConfig(1, false), prior, "")
 	c, files := newTestCoordinator(t, ServiceOptions{Dir: dir, Resume: true}, nil)
 	if err := waitDone(t, c); err != nil {

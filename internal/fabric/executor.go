@@ -16,7 +16,7 @@ import (
 
 // Executor runs one leased grid range [from, to) and returns the wire
 // rows: each grid point exactly once, either as its exact sequential CSV
-// record or as its exact quarantine JSON line, both in ascending expNr
+// line or as its exact quarantine JSON line, both in ascending expNr
 // order. The production executor wraps the ordinary campaign runner;
 // tests substitute chaos-injecting ones.
 type Executor interface {
@@ -27,8 +27,7 @@ type Executor interface {
 type ExecutorOptions struct {
 	// Workers overrides the config's local worker-pool size when > 0.
 	Workers int
-	// Metrics receives the runner/engine instrumentation; it is the same
-	// registry whose snapshots the fabric worker reports as heartbeats.
+	// Metrics receives the runner/engine instrumentation.
 	Metrics *obs.Registry
 }
 
@@ -88,21 +87,17 @@ func (e *campaignExecutor) Execute(ctx context.Context, from, to int) ([]ResultR
 	return rs.rows, fs.failures, nil
 }
 
-// rowSink captures released results as wire rows in the schema
-// runner.CSVSink would write them. The runner releases in grid order, so
-// the rows arrive sorted by expNr.
+// rowSink captures released results as wire rows holding the lines
+// runner.CSVSink would write. The runner releases in grid order, so the
+// rows arrive sorted by expNr.
 type rowSink struct {
 	rows []ResultRow
+	buf  []byte
 }
 
 func (s *rowSink) Put(res core.ExperimentResult) error {
-	var rec []string
-	if res.Spec.Scenario != "" {
-		rec = analysis.MatrixCSVRecord(res)
-	} else {
-		rec = analysis.ExperimentCSVRecord(res)
-	}
-	s.rows = append(s.rows, ResultRow{Nr: res.Spec.Nr, Fields: rec})
+	s.buf = analysis.AppendCSVRow(s.buf[:0], res)
+	s.rows = append(s.rows, ResultRow{Nr: res.Spec.Nr, Line: string(s.buf)})
 	return nil
 }
 

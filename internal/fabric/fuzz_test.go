@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -16,12 +17,13 @@ func FuzzLeaseProtocolDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"workerID":"w1"}`))
 	f.Add([]byte(`{"host":"node1","pid":4321}`))
-	f.Add([]byte(`{"workerID":"w1","chunk":2,"gen":9,"done":5}`))
-	f.Add([]byte(`{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["0","delay"]}]}`))
+	f.Add([]byte(`{"workerID":"w1","campaign":"c1","chunk":2,"gen":9}`))
+	f.Add([]byte(`{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"line":"0,delay,0.3,2.000,1.000,benign,0.0000,0.0000,0,\n"}]}`))
+	f.Add([]byte(`{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"line":"0,delay"}]}`))
 	f.Add([]byte(`{"workerID":"w1","chunk":0,"gen":1,"failures":[{"nr":3,"record":{"expNr":3,"class":"panic"}}]}`))
 	f.Add([]byte(`{"workerID":"w1","chunk":0,"gen":1} trailing`))
 	f.Add([]byte(`[{"nr":-1}]`))
-	f.Add([]byte(`{"workerID":"w1","snapshot":{"seq":3,"counters":{"a":1}}}`))
+	f.Add([]byte(`{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"line":""}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeRegisterRequest(data); err == nil {
 			if m.PID < 0 {
@@ -34,7 +36,7 @@ func FuzzLeaseProtocolDecode(f *testing.F) {
 			}
 		}
 		if m, err := DecodeReportRequest(data); err == nil {
-			if m.WorkerID == "" || m.Chunk < 0 || m.Done < 0 {
+			if m.WorkerID == "" || m.Campaign == "" || m.Chunk < 0 {
 				t.Fatalf("accepted invalid report: %+v", m)
 			}
 		}
@@ -43,7 +45,7 @@ func FuzzLeaseProtocolDecode(f *testing.F) {
 				t.Fatalf("accepted invalid complete: %+v", m)
 			}
 			for _, row := range m.Rows {
-				if row.Nr < 0 || len(row.Fields) == 0 {
+				if row.Nr < 0 || !strings.HasSuffix(row.Line, "\n") {
 					t.Fatalf("accepted invalid row: %+v", row)
 				}
 			}

@@ -3,12 +3,12 @@
 // more expanded campaign/matrix grids and leases contiguous expNr ranges
 // to worker processes (`comfase work`) over a small HTTP+JSON protocol,
 // plus the failure machinery that makes the distribution trustworthy —
-// lease TTLs renewed from the workers' obs heartbeat snapshots,
-// dead-worker detection with automatic re-lease of unfinished ranges, a
-// per-lease generation counter that rejects late results from a
-// presumed-dead worker idempotently, bounded worker-side retry with
-// jittered exponential backoff for coordinator blips, and a draining
-// mode that finishes what is leased while leasing nothing new.
+// lease TTLs renewed by worker reports, dead-worker detection with
+// automatic re-lease of unfinished ranges, a per-lease generation
+// counter that rejects late results from a presumed-dead worker
+// idempotently, bounded worker-side retry with jittered exponential
+// backoff for coordinator blips, and a draining mode that finishes what
+// is leased while leasing nothing new.
 //
 // Since the multi-campaign growth, the service absorbs queued campaign
 // submissions over a /v1/campaigns API: every lease table, generation
@@ -30,16 +30,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"comfase/internal/obs"
+	"strings"
 )
 
 // ProtocolVersion is the fabric wire-protocol version. Register fails
 // when coordinator and worker disagree, so a fleet never silently mixes
 // incompatible binaries. v2 namespaced every lease by campaign ID and
 // moved config delivery from registration to the first lease grant of
-// each campaign.
-const ProtocolVersion = 2
+// each campaign; v3 ships each result row as its exact CSV line and
+// drops the report's progress count and obs snapshot.
+const ProtocolVersion = 3
 
 // Paths of the coordinator's HTTP endpoints. The /v1/campaigns family is
 // the control plane (submissions, status, cancellation, results); the
@@ -120,19 +120,13 @@ type LeaseResponse struct {
 	RetryMS int64 `json:"retryMS,omitempty"`
 }
 
-// ReportRequest is the combined progress report + lease renewal + worker
-// heartbeat: receiving it extends the lease TTL, and the embedded obs
-// snapshot (the same document the worker's heartbeat file would carry)
-// gives the coordinator per-worker liveness and throughput data.
+// ReportRequest is the lease renewal: receiving it extends the lease
+// TTL and stamps the worker's liveness.
 type ReportRequest struct {
 	WorkerID string `json:"workerID"`
 	Campaign string `json:"campaign"`
 	Chunk    int    `json:"chunk"`
 	Gen      uint64 `json:"gen"`
-	// Done is how many grid points of the leased range have finished.
-	Done int `json:"done,omitempty"`
-	// Snapshot is the worker's obs registry capture.
-	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
 }
 
 // ReportResponse acknowledges a report.
@@ -148,12 +142,13 @@ type ReportResponse struct {
 }
 
 // ResultRow is one classified experiment in wire form: the expNr plus
-// the exact CSV record fields the sequential run would have written.
-// Shipping the encoded fields (rather than a re-parsed struct) is what
-// lets the coordinator guarantee byte-identical merged output.
+// the exact CSV line, trailing newline included, that the sequential
+// run's runner.CSVSink would have written (analysis.AppendCSVRow).
+// Shipping the encoded line, which the coordinator checks and appends
+// as is, is what keeps merged output byte-identical.
 type ResultRow struct {
-	Nr     int      `json:"nr"`
-	Fields []string `json:"fields"`
+	Nr   int    `json:"nr"`
+	Line string `json:"line"`
 }
 
 // FailureRow is one quarantined experiment in wire form: the expNr plus
@@ -373,15 +368,13 @@ func DecodeReportRequest(data []byte) (ReportRequest, error) {
 	if m.Chunk < 0 {
 		return ReportRequest{}, fmt.Errorf("%w: negative chunk %d", ErrProtocol, m.Chunk)
 	}
-	if m.Done < 0 {
-		return ReportRequest{}, fmt.Errorf("%w: negative done %d", ErrProtocol, m.Done)
-	}
 	return m, nil
 }
 
 // DecodeCompleteRequest parses and validates a CompleteRequest. Row
-// ordering and range coverage are the coordinator's to check (they need
-// the lease table); this layer guarantees structural sanity only.
+// ordering, range coverage and each line's schema are the coordinator's
+// to check (they need the lease table and the campaign); this layer
+// guarantees structural sanity only.
 func DecodeCompleteRequest(data []byte) (CompleteRequest, error) {
 	var m CompleteRequest
 	if err := decodeStrict(data, &m); err != nil {
@@ -400,8 +393,8 @@ func DecodeCompleteRequest(data []byte) (CompleteRequest, error) {
 		if row.Nr < 0 {
 			return CompleteRequest{}, fmt.Errorf("%w: row %d: negative expNr %d", ErrProtocol, i, row.Nr)
 		}
-		if len(row.Fields) == 0 {
-			return CompleteRequest{}, fmt.Errorf("%w: row %d (expNr %d): no fields", ErrProtocol, i, row.Nr)
+		if !strings.HasSuffix(row.Line, "\n") {
+			return CompleteRequest{}, fmt.Errorf("%w: row %d (expNr %d): line does not end in a newline", ErrProtocol, i, row.Nr)
 		}
 	}
 	for i, f := range m.Failures {

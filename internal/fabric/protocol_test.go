@@ -44,8 +44,10 @@ func TestDecodeValidators(t *testing.T) {
 	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1","chunk":-2}`)); !errors.Is(err, ErrProtocol) {
 		t.Error("negative chunk accepted")
 	}
-	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1","done":-1}`)); !errors.Is(err, ErrProtocol) {
-		t.Error("negative done accepted")
+	for _, field := range []string{`"done":1`, `"snapshot":{"seq":3}`} {
+		if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","campaign":"c1",` + field + `}`)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("v2 report field %s accepted", field)
+		}
 	}
 	if _, err := DecodeReportRequest([]byte(`{"workerID":"w1","chunk":3,"gen":2}`)); !errors.Is(err, ErrProtocol) {
 		t.Error("report without campaign accepted")
@@ -61,16 +63,18 @@ func TestDecodeValidators(t *testing.T) {
 		_, err := DecodeCompleteRequest([]byte(body))
 		return err
 	}
-	if err := complete(`{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["a","b"]}]}`); err != nil {
+	if err := complete(`{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"line":"0,b\n"}]}`); err != nil {
 		t.Errorf("valid complete rejected: %v", err)
 	}
 	for name, body := range map[string]string{
-		"row without fields":   `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":[]}]}`,
-		"row negative nr":      `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":-1,"fields":["a"]}]}`,
+		"row without line":     `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"line":""}]}`,
+		"row without newline":  `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"line":"0,b"}]}`,
+		"row with v2 fields":   `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["0","b"]}]}`,
+		"row negative nr":      `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"rows":[{"nr":-1,"line":"-1,b\n"}]}`,
 		"failure empty record": `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"failures":[{"nr":0,"record":null}]}`,
 		"failure negative nr":  `{"workerID":"w1","campaign":"c1","chunk":0,"gen":1,"failures":[{"nr":-3,"record":{}}]}`,
 		"missing workerID":     `{"campaign":"c1","chunk":0,"gen":1}`,
-		"missing campaign":     `{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":0,"fields":["a"]}]}`,
+		"missing campaign":     `{"workerID":"w1","chunk":0,"gen":1,"rows":[{"nr":0,"line":"0,b\n"}]}`,
 	} {
 		if err := complete(body); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s accepted (err=%v)", name, err)
@@ -108,10 +112,10 @@ func TestProtocolRoundTrips(t *testing.T) {
 	reqs := []any{
 		RegisterRequest{Host: "node1", PID: 1234},
 		LeaseRequest{WorkerID: "w1"},
-		ReportRequest{WorkerID: "w1", Campaign: "c1", Chunk: 3, Gen: 7, Done: 2},
+		ReportRequest{WorkerID: "w1", Campaign: "c1", Chunk: 3, Gen: 7},
 		CompleteRequest{
 			WorkerID: "w2", Campaign: "c1", Chunk: 1, Gen: 2,
-			Rows:     []ResultRow{{Nr: 4, Fields: []string{"4", "x"}}},
+			Rows:     []ResultRow{{Nr: 4, Line: "4,\"x,y\"\n"}},
 			Failures: []FailureRow{{Nr: 5, Record: json.RawMessage(`{"expNr":5}`)}},
 		},
 	}

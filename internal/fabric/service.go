@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,7 +96,6 @@ type workerInfo struct {
 	host     string
 	pid      int
 	lastSeen time.Time
-	snapshot *obs.Snapshot
 	// notifiedEnd: this worker has been told the run is over (a Done
 	// lease/complete response or a Draining lease response), so it will
 	// not poll again. Linger waits for every live worker to reach it.
@@ -118,13 +116,12 @@ type serviceCampaign struct {
 	files       runner.CampaignFiles
 	table       *LeaseTable
 
-	// Sinks. cw writes through to the results file and the in-memory
-	// mirror feeding the results snapshot; quarantine likewise.
-	cw         *csv.Writer
-	quarantine io.Writer
-	mem        *bytes.Buffer // merged CSV mirror
-	memQ       *bytes.Buffer // merged quarantine mirror
-	closers    []io.Closer
+	// Sinks: the merged results and quarantine files, each mirrored in
+	// memory for the results snapshot. A mirror byte is never rewritten
+	// once a snapshot has published it, so a snapshot may hold a prefix
+	// of a mirror while later releases append to it.
+	results, quarantine *os.File
+	mem, memQ           []byte
 
 	// Release frontier (guarded by Service.mu).
 	buffered      map[int]chunkPayload
@@ -139,7 +136,7 @@ type serviceCampaign struct {
 	// snapshot is the results endpoint's only data source: swapped
 	// atomically at every frontier release and state change, never read
 	// through worker or lease-table state.
-	snapshot atomic.Pointer[CampaignResultsResponse]
+	snapshot atomic.Pointer[resultsView]
 
 	rowsMerged     *obs.Counter // labeled per campaign
 	failuresMerged *obs.Counter
@@ -341,8 +338,6 @@ func (s *Service) addCampaign(id, name string, cfgJSON []byte, grid *runner.Grid
 		configJSON:     cfgJSON,
 		files:          runner.CampaignFilesIn(s.opts.Dir, id),
 		table:          table,
-		mem:            &bytes.Buffer{},
-		memQ:           &bytes.Buffer{},
 		buffered:       make(map[int]chunkPayload),
 		rowsMerged:     s.opts.Metrics.Counter(obs.Label("fabric.campaign.rows_merged", "campaign", id)),
 		failuresMerged: s.opts.Metrics.Counter(obs.Label("fabric.campaign.failures_merged", "campaign", id)),
@@ -388,12 +383,12 @@ func (c *serviceCampaign) openSinks(resumed bool) error {
 	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 	if resumed {
 		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		for path, mirror := range map[string]*bytes.Buffer{c.files.Results: c.mem, c.files.Quarantine: c.memQ} {
+		for path, mirror := range map[string]*[]byte{c.files.Results: &c.mem, c.files.Quarantine: &c.memQ} {
 			data, err := os.ReadFile(path)
 			if err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("fabric: campaign %s: %w", c.id, err)
 			}
-			mirror.Write(data)
+			*mirror = data
 		}
 	}
 	rf, err := os.OpenFile(c.files.Results, mode, 0o644)
@@ -405,18 +400,14 @@ func (c *serviceCampaign) openSinks(resumed bool) error {
 		rf.Close()
 		return fmt.Errorf("fabric: campaign %s quarantine: %w", c.id, err)
 	}
-	c.closers = append(c.closers, rf, qf)
-	c.cw = csv.NewWriter(io.MultiWriter(rf, c.mem))
-	c.quarantine = io.MultiWriter(qf, c.memQ)
-	c.headerPending = c.mem.Len() == 0
+	c.results, c.quarantine = rf, qf
+	c.headerPending = len(c.mem) == 0
 	return nil
 }
 
 func (c *serviceCampaign) closeSinks() {
-	for _, cl := range c.closers {
-		cl.Close()
-	}
-	c.closers = nil
+	c.results.Close()
+	c.quarantine.Close()
 }
 
 // stateLocked computes the campaign's lifecycle state; Service.mu held.
@@ -456,20 +447,21 @@ func (c *serviceCampaign) statusLocked() CampaignStatus {
 	return st
 }
 
+// resultsView is a campaign's results snapshot: its state and the
+// prefixes of the merged mirrors at one frontier release.
+type resultsView struct {
+	state           string
+	merged          int
+	csv, quarantine []byte
+}
+
 // publishLocked refreshes the campaign's atomic results snapshot and its
 // on-disk status document. Service.mu held. The snapshot is the results
 // endpoint's ONLY data source; it carries what the frontier has durably
 // released, never in-flight worker state.
 func (s *Service) publishLocked(c *serviceCampaign) {
 	st := c.statusLocked()
-	c.snapshot.Store(&CampaignResultsResponse{
-		CampaignID: c.id,
-		State:      st.State,
-		Merged:     c.merged,
-		Total:      c.total,
-		CSV:        c.mem.String(),
-		Quarantine: c.memQ.String(),
-	})
+	c.snapshot.Store(&resultsView{state: st.State, merged: c.merged, csv: c.mem, quarantine: c.memQ})
 	if err := writeStatusDoc(c.files.Status, st); err != nil {
 		s.logf("campaign %s: status doc: %v", c.id, err)
 	}
@@ -591,9 +583,10 @@ func (s *Service) ListCampaigns() []CampaignStatus {
 	return out
 }
 
-// Results returns a campaign's merged-output snapshot. The pointer was
-// swapped in whole at the last frontier release, so the view is always
-// a grid-ordered durable prefix — never a peek at worker state.
+// Results returns a campaign's merged-output snapshot. The view was
+// swapped in whole at the last frontier release, so it is always a
+// grid-ordered durable prefix — never a peek at worker state. The
+// strings are copied here, on request, rather than at every release.
 func (s *Service) Results(id string) (*CampaignResultsResponse, bool) {
 	s.mu.Lock()
 	c, ok := s.campaigns[id]
@@ -601,7 +594,15 @@ func (s *Service) Results(id string) (*CampaignResultsResponse, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.snapshot.Load(), true
+	v := c.snapshot.Load()
+	return &CampaignResultsResponse{
+		CampaignID: c.id,
+		State:      v.state,
+		Merged:     v.merged,
+		Total:      c.total,
+		CSV:        string(v.csv),
+		Quarantine: string(v.quarantine),
+	}, true
 }
 
 // failCampaign records a campaign-fatal error. With FinishWhenDone
@@ -636,7 +637,7 @@ func (s *Service) fail(err error) {
 	s.finish(err)
 }
 
-// finish flushes every campaign's sinks and releases Wait exactly once.
+// finish closes every campaign's sinks and releases Wait exactly once.
 func (s *Service) finish(err error) {
 	s.doneOnce.Do(func() {
 		s.mu.Lock()
@@ -644,14 +645,7 @@ func (s *Service) finish(err error) {
 			s.err = err
 		}
 		for _, id := range s.order {
-			c := s.campaigns[id]
-			if c.cw != nil {
-				c.cw.Flush()
-				if ferr := c.cw.Error(); ferr != nil && s.err == nil {
-					s.err = fmt.Errorf("fabric: results flush: %w", ferr)
-				}
-			}
-			c.closeSinks()
+			s.campaigns[id].closeSinks()
 		}
 		s.mu.Unlock()
 		close(s.doneCh)
@@ -829,13 +823,10 @@ func (s *Service) updateLiveness() {
 }
 
 // touchWorker stamps a worker's liveness; unknown IDs are ignored.
-func (s *Service) touchWorker(id string, snap *obs.Snapshot) {
+func (s *Service) touchWorker(id string) {
 	s.mu.Lock()
 	if w, ok := s.workers[id]; ok {
 		w.lastSeen = s.now()
-		if snap != nil {
-			w.snapshot = snap
-		}
 	}
 	s.mu.Unlock()
 }
@@ -928,7 +919,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.touchWorker(req.WorkerID, nil)
+	s.touchWorker(req.WorkerID)
 	c, lease, status := s.acquire(req.WorkerID)
 	switch status {
 	case AcquireGranted:
@@ -983,7 +974,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.touchWorker(req.WorkerID, req.Snapshot)
+	s.touchWorker(req.WorkerID)
 	c, ok := s.campaignByID(req.Campaign)
 	if !ok {
 		http.Error(w, fmt.Sprintf("fabric: unknown campaign %q", req.Campaign), http.StatusBadRequest)
@@ -1039,7 +1030,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.touchWorker(req.WorkerID, nil)
+	s.touchWorker(req.WorkerID)
 	c, ok := s.campaignByID(req.Campaign)
 	if !ok {
 		http.Error(w, fmt.Sprintf("fabric: unknown campaign %q", req.Campaign), http.StatusBadRequest)
@@ -1062,12 +1053,19 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Verify coverage before touching the lease: every expNr in
-	// [from, to) exactly once, as a result row or a quarantine record.
-	// A worker shipping garbage must not consume the lease.
+	// Verify the payload before touching the lease: every expNr in
+	// [from, to) exactly once, as a result row or a quarantine record,
+	// and every row exactly the line the campaign's schema writes for
+	// it. A worker shipping garbage must not consume the lease.
 	if err := verifyCoverage(from, to, req.Rows, req.Failures); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	for _, row := range req.Rows {
+		if err := analysis.CheckCSVRow(row.Line, c.matrix, row.Nr); err != nil {
+			http.Error(w, fmt.Sprintf("%v: %v", ErrProtocol, err), http.StatusBadRequest)
+			return
+		}
 	}
 	if err := c.table.Complete(req.WorkerID, req.Chunk, req.Gen); err != nil {
 		// Late completion from a presumed-dead worker: the range was (or
@@ -1219,62 +1217,47 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 
 // ---- merge frontier ------------------------------------------------
 
-// releaseLocked writes every buffered chunk at the campaign's frontier
-// in chunk order: result rows to the CSV writer, failure records to the
-// quarantine writer, both already in their exact sequential encodings.
-// The caller holds s.mu.
+// releaseLocked appends every buffered chunk at the campaign's frontier
+// in chunk order: its result lines to the results file, its failure
+// records to the quarantine file, each list already sorted by expNr and
+// in its exact sequential encoding. The CSV header goes out with the
+// first row. The caller holds s.mu.
 func (s *Service) releaseLocked(c *serviceCampaign) error {
 	for {
 		payload, ok := c.buffered[c.nextChunk]
 		if !ok {
-			break
+			return nil
 		}
 		delete(c.buffered, c.nextChunk)
-		// Rows and failures each arrive sorted; interleave by expNr so
-		// the quarantine stream is globally grid-ordered like the CSV.
-		ri, fi := 0, 0
-		for ri < len(payload.rows) || fi < len(payload.failures) {
-			if fi >= len(payload.failures) || (ri < len(payload.rows) && payload.rows[ri].Nr < payload.failures[fi].Nr) {
-				if c.headerPending {
-					if err := c.writeHeader(); err != nil {
-						return err
-					}
-					c.headerPending = false
-				}
-				if err := c.cw.Write(payload.rows[ri].Fields); err != nil {
-					return fmt.Errorf("fabric: results write: %w", err)
-				}
-				c.rowsMerged.Inc()
-				s.rowsMerged.Inc()
-				ri++
-			} else {
-				rec := append(payload.failures[fi].Record, '\n')
-				if _, err := c.quarantine.Write(rec); err != nil {
-					return fmt.Errorf("fabric: quarantine write: %w", err)
-				}
-				c.failuresMerged.Inc()
-				s.failuresMerged.Inc()
-				fi++
+		if len(payload.rows) > 0 {
+			start := len(c.mem)
+			if c.headerPending {
+				c.mem = analysis.AppendCSVHeader(c.mem, c.matrix)
 			}
-			c.merged++
+			for _, row := range payload.rows {
+				c.mem = append(c.mem, row.Line...)
+			}
+			if _, err := c.results.Write(c.mem[start:]); err != nil {
+				c.mem = c.mem[:start]
+				return fmt.Errorf("fabric: results write: %w", err)
+			}
+			c.headerPending = false
 		}
-		c.cw.Flush()
-		if err := c.cw.Error(); err != nil {
-			return fmt.Errorf("fabric: results flush: %w", err)
+		if len(payload.failures) > 0 {
+			start := len(c.memQ)
+			for _, f := range payload.failures {
+				c.memQ = append(append(c.memQ, f.Record...), '\n')
+			}
+			if _, err := c.quarantine.Write(c.memQ[start:]); err != nil {
+				c.memQ = c.memQ[:start]
+				return fmt.Errorf("fabric: quarantine write: %w", err)
+			}
 		}
+		c.merged += len(payload.rows) + len(payload.failures)
+		c.rowsMerged.Add(uint64(len(payload.rows)))
+		s.rowsMerged.Add(uint64(len(payload.rows)))
+		c.failuresMerged.Add(uint64(len(payload.failures)))
+		s.failuresMerged.Add(uint64(len(payload.failures)))
 		c.nextChunk++
 	}
-	return nil
-}
-
-func (c *serviceCampaign) writeHeader() error {
-	header := analysis.ExperimentCSVHeader()
-	if c.matrix {
-		header = analysis.MatrixCSVHeader()
-	}
-	if err := c.cw.Write(header); err != nil {
-		return fmt.Errorf("fabric: results header: %w", err)
-	}
-	c.cw.Flush()
-	return c.cw.Error()
 }

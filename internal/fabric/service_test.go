@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -59,20 +58,6 @@ func newSchedulerService(t *testing.T, clock *fakeClock, fairnessCap int, grids 
 	return svc, ids
 }
 
-// legacyRows fabricates schema-valid legacy result records for [from,
-// to), so the files a service writes stay parseable by the resume
-// path's strict reader.
-func legacyRows(from, to int) []ResultRow {
-	var rows []ResultRow
-	for nr := from; nr < to; nr++ {
-		rows = append(rows, ResultRow{Nr: nr, Fields: []string{
-			strconv.Itoa(nr), "delay", "0.3", "2.000", "1.000",
-			"benign", "0.0000", "0.0000", "0", "",
-		}})
-	}
-	return rows
-}
-
 // completeLease posts a full completion for the lease and returns the
 // response.
 func completeLease(t *testing.T, h http.Handler, worker, campaign string, l Lease) CompleteResponse {
@@ -80,7 +65,7 @@ func completeLease(t *testing.T, h http.Handler, worker, campaign string, l Leas
 	var resp CompleteResponse
 	postProto(t, h, PathComplete, CompleteRequest{
 		WorkerID: worker, Campaign: campaign, Chunk: l.Chunk, Gen: l.Gen,
-		Rows: legacyRows(l.From, l.To),
+		Rows: testRows(l.From, l.To, ""),
 	}, &resp)
 	return resp
 }
@@ -498,7 +483,7 @@ func TestServiceResumeQuarantineOnlyPrefix(t *testing.T) {
 	if err := waitDone(t, svc); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if got, want := readFile(t, files.Results), legacyHeader+legacyCSV(1, 3); got != want {
+	if got, want := readFile(t, files.Results), legacyHeader+testCSV(1, 3, ""); got != want {
 		t.Errorf("results after resume = %q, want header + rows 1-2 %q", got, want)
 	}
 	if got := readFile(t, files.Quarantine); got != record {
@@ -533,7 +518,7 @@ func TestRunnerFilesHelpers(t *testing.T) {
 	var gapped strings.Builder
 	gapped.WriteString(strings.Join(analysis.ExperimentCSVHeader(), ",") + "\n")
 	for _, nr := range []int{0, 5} {
-		gapped.WriteString(strings.Join(legacyRows(nr, nr+1)[0].Fields, ",") + "\n")
+		gapped.WriteString(testLine(nr, "", ""))
 	}
 	if err := os.WriteFile(bad.Results, []byte(gapped.String()), 0o644); err != nil {
 		t.Fatal(err)

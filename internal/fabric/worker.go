@@ -46,8 +46,8 @@ type WorkerOptions struct {
 	// attempts. Zero values use the defaults.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Metrics receives worker instrumentation; its snapshots double as
-	// the heartbeat payload reported to the coordinator. May be nil.
+	// Metrics receives the worker's and its executors' instrumentation.
+	// May be nil.
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -73,10 +73,10 @@ const (
 // config arrives with its first lease grant (the worker advertises the
 // campaigns it already knows, and caches one executor per campaign), so
 // one worker serves many queued grids without restarting. A renew
-// goroutine reports progress (and the obs snapshot heartbeat) every
-// TTL/3; if the coordinator answers Cancel — the lease expired and moved
-// on, or the campaign was cancelled — the in-flight execution is aborted
-// via context cancellation and the worker asks for fresh work.
+// goroutine reports to the coordinator every TTL/3; if the coordinator
+// answers Cancel — the lease expired and moved on, or the campaign was
+// cancelled — the in-flight execution is aborted via context
+// cancellation and the worker asks for fresh work.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -266,16 +266,11 @@ func (w *Worker) runLease(ctx context.Context, campaign string, lease Lease, exe
 				return
 			case <-ticker.C:
 			}
-			var snap *obs.Snapshot
-			if w.opts.Metrics != nil {
-				s := w.opts.Metrics.Snapshot()
-				snap = &s
-			}
 			var resp ReportResponse
 			// Renews use single attempts: the next tick retries anyway, and
 			// the lease survives missed renews for a full TTL.
 			err := w.postOnce(leaseCtx, PathReport, ReportRequest{
-				WorkerID: w.id, Campaign: campaign, Chunk: lease.Chunk, Gen: lease.Gen, Snapshot: snap,
+				WorkerID: w.id, Campaign: campaign, Chunk: lease.Chunk, Gen: lease.Gen,
 			}, &resp)
 			if err != nil {
 				if leaseCtx.Err() != nil {

@@ -122,9 +122,9 @@ func (g *Grid) cellErr(i int, err error) error {
 func (g *Grid) Run(ctx context.Context, opts Options, sinks ...Sink) (*GridResult, error) {
 	total := 0
 	for _, cell := range g.cells {
-		n := cell.Setup.NumExperiments()
-		for nr := cell.Setup.Base; nr < cell.Setup.Base+n; nr++ {
-			if opts.Shard.Contains(nr) && opts.Range.Contains(nr) {
+		from, to := opts.Range.clip(cell.Setup.Base, cell.Setup.Base+cell.Setup.NumExperiments())
+		for nr := from; nr < to; nr++ {
+			if opts.Shard.Contains(nr) {
 				total++
 			}
 		}

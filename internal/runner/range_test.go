@@ -52,8 +52,8 @@ func TestRangeValidateContains(t *testing.T) {
 				return
 			}
 			for nr, want := range tc.contains {
-				if got := tc.r.Contains(nr); got != want {
-					t.Errorf("%v.Contains(%d) = %v, want %v", tc.r, nr, got, want)
+				if from, to := tc.r.clip(nr, nr+1); (from < to) != want {
+					t.Errorf("%v.clip(%d, %d) = [%d,%d), want it to contain %d: %v", tc.r, nr, nr+1, from, to, nr, want)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -80,19 +81,6 @@ func ReadResults(r io.Reader) (map[int]core.ExperimentResult, error) {
 	}
 }
 
-// equalHeader reports whether two CSV headers are identical.
-func equalHeader(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // tailTracker remembers the last byte delivered from the underlying
 // reader, so ReadResults can tell a truncated final write (no trailing
 // newline) from a complete-but-corrupt record.
@@ -109,28 +97,15 @@ func (t *tailTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// resultSchema validates a results-file header and reports whether it
-// uses the matrix schema (scenario column after expNr) or the legacy
-// single-campaign schema.
+// resultSchema validates a results-file header, which must be one of
+// the two analysis.CSVHeader schemas, and reports whether it is the
+// matrix one (scenario column after expNr).
 func resultSchema(header []string) (matrix bool, err error) {
-	if len(header) == 0 || header[0] != "expNr" {
-		return false, fmt.Errorf("runner: not a results file (header starts with %q)", first(header))
+	matrix = len(header) > 1 && header[1] == "scenario"
+	if !slices.Equal(header, analysis.CSVHeader(matrix)) {
+		return false, fmt.Errorf("runner: not a results file (header %q)", header)
 	}
-	switch {
-	case len(header) == len(analysis.ExperimentCSVHeader()) && header[1] == "attack":
-		return false, nil
-	case len(header) == len(analysis.MatrixCSVHeader()) && header[1] == "scenario":
-		return true, nil
-	default:
-		return false, fmt.Errorf("runner: unrecognised results schema (%d columns)", len(header))
-	}
-}
-
-func first(header []string) string {
-	if len(header) == 0 {
-		return ""
-	}
-	return header[0]
+	return matrix, nil
 }
 
 func parseResultRecord(rec []string, matrix bool) (core.ExperimentResult, error) {
@@ -251,7 +226,7 @@ func MergeResultFiles(w io.Writer, paths ...string) error {
 		}
 		if outHeader == nil {
 			outHeader = header
-		} else if !equalHeader(outHeader, header) {
+		} else if !slices.Equal(outHeader, header) {
 			f.Close()
 			return fmt.Errorf("runner: %s: header differs from earlier shards (mixed schemas?)", path)
 		}

@@ -118,13 +118,12 @@ func (r Range) Validate() error {
 	return nil
 }
 
-// Contains reports whether the grid point with the given expNr belongs
-// to this range.
-func (r Range) Contains(nr int) bool {
+// clip narrows the expNr interval [from, to) to the range.
+func (r Range) clip(from, to int) (int, int) {
 	if !r.Enabled() {
-		return true
+		return from, to
 	}
-	return nr >= r.From && nr < r.To
+	return max(from, r.From), min(to, r.To)
 }
 
 // String renders the half-open interval.
@@ -287,10 +286,13 @@ func (r *Runner) Run(ctx context.Context, setup core.CampaignSetup) (*core.Campa
 		return nil, err
 	}
 
+	// Expand only the range's window of the grid: a fabric lease selects
+	// a few points of a grid of thousands.
 	var specs []core.ExperimentSpec
-	for _, spec := range setup.Experiments() {
-		if r.opts.Shard.Contains(spec.Nr) && r.opts.Range.Contains(spec.Nr) {
-			specs = append(specs, spec)
+	from, to := r.opts.Range.clip(setup.Base, setup.Base+setup.NumExperiments())
+	for nr := from; nr < to; nr++ {
+		if r.opts.Shard.Contains(nr) {
+			specs = append(specs, setup.Experiment(nr-setup.Base))
 		}
 	}
 	total := len(specs)
