@@ -98,7 +98,8 @@ fabric-equiv:
 # Short coverage-guided fuzz smoke on every fuzz target (the config
 # parser, the matrix-section decoder, the DES kernel scheduler and
 # snapshot/restore, the shard designator, the heartbeat snapshot
-# decoder). 5s per target catches
+# decoder, the fabric protocol decoders, and the one-pass result-row
+# check against its encoding/csv reference). 5s per target catches
 # corpus regressions without slowing the gate meaningfully; -run '^$$'
 # skips the unit tests the race step already ran.
 fuzz-smoke:
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzHeartbeatDecode' -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz 'FuzzLeaseProtocolDecode' -fuzztime 5s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz 'FuzzCampaignSubmitDecode' -fuzztime 5s ./internal/fabric
+	$(GO) test -run '^$$' -fuzz 'FuzzCheckCSVRow' -fuzztime 5s ./internal/analysis
 
 # Per-package coverage report plus the internal/obs coverage floor: the
 # observability layer is pure bookkeeping whose failures would corrupt

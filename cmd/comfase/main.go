@@ -209,10 +209,11 @@ Subcommands:
             -id ID (status JSON), -cancel ID, -results ID [-o FILE]
             [-quarantine-out FILE]; plus -coordinator URL (required)
   work      execute leased ranges for a "comfase serve" coordinator; the
-            campaign config arrives from the coordinator at registration
+            campaign config arrives from the coordinator with its first lease
             flags: -coordinator URL (required unless -config supplies
                    fabric.addr), -config FILE (optional local defaults),
-                   -workers N (local experiment pool; 0 = all cores),
+                   -workers N (leases executed at once, one core each;
+                   0 = all cores),
                    -max-coordinator-retries N (consecutive failed calls
                    tolerated before giving up),
                    -retry-base D (backoff base; capped exponential with
@@ -746,9 +747,10 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "submit campaigns with: comfase submit -coordinator http://%s -config FILE\n", ln.Addr())
 	fmt.Fprintf(stdout, "start workers with: comfase work -coordinator http://%s\n", ln.Addr())
 
-	// Linger keeps the socket up until live workers have been told the
-	// run is over (bounded by one TTL), so a clean finish does not look
-	// like a dead coordinator on their side.
+	// Linger keeps the socket up until every live worker has been told
+	// the run is over (a worker counts as live until one TTL past the
+	// poll it was promised), so a clean finish does not look like a dead
+	// coordinator on its side.
 	err = svc.Wait(ctx)
 	svc.Linger()
 	campaigns := svc.ListCampaigns()
@@ -786,7 +788,7 @@ func runWork(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	coordURL := fs.String("coordinator", "", "coordinator base URL, e.g. http://host:7440 (required unless -config supplies fabric.addr)")
 	cfgPath := fs.String("config", "", "optional local config supplying fabric worker defaults")
-	workers := fs.Int("workers", 0, "local parallel experiment workers (0 = the coordinator config's setting, else all cores)")
+	workers := fs.Int("workers", 0, "leases executed at once, one core each (0 = all cores)")
 	maxRetries := fs.Int("max-coordinator-retries", 0, "consecutive failed coordinator calls tolerated per request (0 = config fabric.maxCoordinatorRetries, else 8)")
 	retryBase := fs.Duration("retry-base", 0, "base of the capped jittered exponential backoff between retries (0 = config fabric.retryBaseMS, else 200ms)")
 	verbose := fs.Bool("v", false, "log lease progress")

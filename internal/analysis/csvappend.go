@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/csv"
 	"fmt"
 	"strconv"
 	"strings"
@@ -138,24 +137,77 @@ func appendExperimentTail(buf []byte, e core.ExperimentResult) []byte {
 	return append(buf, '\n')
 }
 
+// Field counts of the two results schemas, for CheckCSVRow.
+var (
+	experimentCSVFields = len(ExperimentCSVHeader())
+	matrixCSVFields     = len(MatrixCSVHeader())
+)
+
 // CheckCSVRow reports whether line is a results row exactly as
 // AppendCSVRow writes it for expNr nr in the schema matrix selects: one
 // CSV record, ending in a single '\n', with the schema's field count and
-// nr in decimal as its first field, that re-encodes to the same bytes.
-// Rows that arrive from other processes are checked with it before they
-// are appended to a results file. (encoding/csv reads a CR LF pair inside
-// a quoted field back as LF, so a row whose labels hold one fails.)
+// nr in decimal as its first field, every field quoted exactly when
+// encoding/csv would quote it. Rows that arrive from other processes are
+// checked with it before they are appended to a results file. It makes
+// one pass over the line and allocates nothing for an accepted row; it
+// accepts exactly the lines that encoding/csv reads back as one record
+// which re-encodes to the same bytes (a CR LF pair inside a quoted field
+// reads back as LF, so a row whose labels hold one fails).
 func CheckCSVRow(line string, matrix bool, nr int) error {
-	r := csv.NewReader(strings.NewReader(line))
-	r.FieldsPerRecord = len(CSVHeader(matrix))
-	rec, err := r.Read()
-	switch {
-	case err != nil:
-		return fmt.Errorf("analysis: row %d: %w", nr, err)
-	case rec[0] != strconv.Itoa(nr):
-		return fmt.Errorf("analysis: row %d starts with expNr %q", nr, rec[0])
-	case string(appendCSVRecord(nil, rec)) != line:
-		return fmt.Errorf("analysis: row %d is not exactly one CSV record as AppendCSVRow writes it", nr)
+	fields := experimentCSVFields
+	if matrix {
+		fields = matrixCSVFields
+	}
+	var digits [20]byte
+	want := strconv.AppendInt(digits[:0], int64(nr), 10)
+	rest := line
+	for i := 0; i < fields; i++ {
+		var field string
+		if rest != "" && rest[0] == '"' {
+			// A quoted field runs to the first quote not doubled; its raw
+			// content needs quoting exactly when its unescaped value does.
+			end := 1
+			for {
+				k := strings.IndexByte(rest[end:], '"')
+				if k < 0 {
+					return fmt.Errorf("analysis: row %d: field %d has no closing quote", nr, i+1)
+				}
+				end += k + 1
+				if end < len(rest) && rest[end] == '"' {
+					end++
+					continue
+				}
+				break
+			}
+			field = rest[1 : end-1]
+			rest = rest[end:]
+			if !csvFieldNeedsQuotes(field) || strings.Contains(field, "\r\n") {
+				return fmt.Errorf("analysis: row %d: field %d is quoted where AppendCSVRow would not write it so", nr, i+1)
+			}
+		} else {
+			k := strings.IndexAny(rest, ",\n")
+			if k < 0 {
+				return fmt.Errorf("analysis: row %d does not end in a newline", nr)
+			}
+			field, rest = rest[:k], rest[k:]
+			if csvFieldNeedsQuotes(field) {
+				return fmt.Errorf("analysis: row %d: field %d needs quotes", nr, i+1)
+			}
+		}
+		if i == 0 && field != string(want) {
+			return fmt.Errorf("analysis: row %d starts with expNr %q", nr, field)
+		}
+		sep := byte(',')
+		if i == fields-1 {
+			sep = '\n'
+		}
+		if rest == "" || rest[0] != sep {
+			return fmt.Errorf("analysis: row %d is not exactly one %d-field CSV record as AppendCSVRow writes it", nr, fields)
+		}
+		rest = rest[1:]
+	}
+	if rest != "" {
+		return fmt.Errorf("analysis: row %d is followed by more input", nr)
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package analysis
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -120,6 +122,91 @@ func TestCheckCSVRow(t *testing.T) {
 	}
 	if err := CheckCSVRow(row, true, 1); err == nil {
 		t.Errorf("single-campaign row accepted in the matrix schema: %q", row)
+	}
+}
+
+// checkCSVRowReference is the encoding/csv statement of CheckCSVRow's
+// contract: read one record with the schema's field count, require nr as
+// its first field, and require that re-encoding the record gives the
+// line back byte for byte. FuzzCheckCSVRow holds the one-pass checker to
+// exactly the set of lines this accepts.
+func checkCSVRowReference(line string, matrix bool, nr int) error {
+	r := csv.NewReader(strings.NewReader(line))
+	r.FieldsPerRecord = len(CSVHeader(matrix))
+	rec, err := r.Read()
+	switch {
+	case err != nil:
+		return err
+	case rec[0] != strconv.Itoa(nr):
+		return fmt.Errorf("row %d starts with expNr %q", nr, rec[0])
+	case string(appendCSVRecord(nil, rec)) != line:
+		return fmt.Errorf("row %d does not re-encode to itself", nr)
+	}
+	return nil
+}
+
+// checkCSVRowSeeds are the TestCheckCSVRow lines plus the quoting corner
+// cases of encoding/csv: CR LF inside a quoted label, doubled quotes,
+// leading spaces and the literal \. field.
+func checkCSVRowSeeds() []string {
+	var seeds []string
+	for _, e := range appendRowCases {
+		seeds = append(seeds, string(AppendCSVRow(nil, e)))
+	}
+	row := seeds[0] // expNr 1, delay
+	body := strings.TrimSuffix(row, "\n")
+	seeds = append(seeds,
+		"2"+row[1:], row+row, body, body+"\r\n", row+"\n", "\n"+row,
+		`"1"`+row[1:], strings.Replace(row, "delay", `de"lay`, 1),
+		strings.Replace(row, "delay", `"de,lay"x`, 1), `1,"delay`+"\n", "",
+		strings.Replace(row, "delay", "\"de\r\nlay\"", 1),
+		strings.Replace(row, "delay", "\"de\rlay\"", 1),
+		strings.Replace(row, "delay", `"de""lay"`, 1),
+		strings.Replace(row, "delay", `""`, 1),
+		strings.Replace(row, "delay", " delay", 1),
+		strings.Replace(row, "delay", `" delay"`, 1),
+		strings.Replace(row, "delay", `\.`, 1),
+		strings.Replace(row, "delay", `"\."`, 1),
+		strings.Replace(row, "delay", `"delay"`, 1),
+		strings.Replace(row, ",,", ",\"\",", 1),
+	)
+	return seeds
+}
+
+// FuzzCheckCSVRow holds the one-pass CheckCSVRow to the encoding/csv
+// reference: both must accept exactly the same lines. Plain `go test`
+// runs the seeds, in both schemas and against every seed row's expNr.
+func FuzzCheckCSVRow(f *testing.F) {
+	for _, line := range checkCSVRowSeeds() {
+		for _, matrix := range []bool{false, true} {
+			for _, e := range appendRowCases {
+				f.Add(line, matrix, e.Spec.Nr)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, line string, matrix bool, nr int) {
+		got := CheckCSVRow(line, matrix, nr)
+		want := checkCSVRowReference(line, matrix, nr)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("CheckCSVRow(%q, %v, %d) = %v, reference %v", line, matrix, nr, got, want)
+		}
+	})
+}
+
+// TestCheckCSVRowAllocs pins the accepting path at zero allocations: the
+// coordinator checks every row a worker ships.
+func TestCheckCSVRowAllocs(t *testing.T) {
+	for _, e := range appendRowCases {
+		line := string(AppendCSVRow(nil, e))
+		matrix := e.Spec.Scenario != ""
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := CheckCSVRow(line, matrix, e.Spec.Nr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("CheckCSVRow(%q) allocs/op = %v, want 0", line, allocs)
+		}
 	}
 }
 

@@ -118,6 +118,10 @@ type Engine struct {
 	// groupPool recycles the per-group checkpoint storage of
 	// prefix-forked execution (see group.go) the same way.
 	groupPool sync.Pool
+	// parked holds the roots of cleanly closed group sessions, oldest
+	// first, for BeginGroup to reuse (see group.go); parkMu guards it.
+	parkMu sync.Mutex
+	parked []parkedRoot
 
 	// met holds the engine's obs handles (all nil when cfg.Metrics is
 	// nil: obs metrics are nil-safe, so the instrumentation below runs

@@ -34,13 +34,23 @@
 // panic handling) and the next fork heals the session by rebuilding the
 // prefix from scratch, poisoning only the chain in progress while sibling
 // value chains keep forking from the rebuilt root.
+//
+// Closing a clean session parks its root with the engine instead of
+// dissolving it: a later BeginGroup for the same start (the next lease of
+// a fabric worker, say) picks the parked root up and simulates no prefix
+// at all, and a BeginGroup for another start rebuilds the oldest parked
+// root's workspace and scratch in place, so parking holds no more
+// workspaces than the pools would. At most GOMAXPROCS roots are parked;
+// tainted and poisoned sessions never are.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"comfase/internal/nic"
@@ -78,9 +88,8 @@ type groupScratch struct {
 // GroupSession executes a group of experiments that share an attack start
 // time by forking each one from the checkpoint trie. Obtain one with
 // Engine.BeginGroup; it is not safe for concurrent use (one session per
-// campaign worker). Always Close a session — Close returns the workspace
-// and checkpoint storage to the engine's pools when the session is still
-// clean.
+// campaign worker). Always Close a session — Close parks a clean
+// session's root with the engine for the next BeginGroup.
 type GroupSession struct {
 	e       *Engine
 	u       *workUnit
@@ -113,12 +122,15 @@ func (e *Engine) acquireScratch() *groupScratch {
 	return &groupScratch{}
 }
 
-// BeginGroup runs the fault-free prefix up to the attack start time and
-// checkpoints it — the root of the session's checkpoint trie. ctx must be
-// the same kind of context the caller will pass to fresh experiment
-// attempts (timeout-wrapped or not), so the kernel's interrupt-poll
-// cadence — and with it every deterministic abort point — matches the
-// fresh path exactly.
+// BeginGroup returns a session whose trie root is the fault-free prefix
+// checkpointed at the attack start time. A root parked at the same start
+// by an earlier, cleanly closed session is reused as it is, with no
+// prefix simulated; otherwise the prefix runs — on the oldest parked
+// root's workspace and scratch when one is parked, else on pooled ones.
+// ctx must be the same kind of context the caller will pass to fresh
+// experiment attempts (timeout-wrapped or not), so the kernel's
+// interrupt-poll cadence — and with it every deterministic abort point —
+// matches the fresh path exactly.
 //
 // A non-nil error means no session exists and the caller must fall back
 // to the fresh-build path; scenario.ErrNotCheckpointable marks
@@ -135,22 +147,77 @@ func (e *Engine) BeginGroup(ctx context.Context, start des.Time) (*GroupSession,
 	if start > horizon {
 		start = horizon
 	}
-	gs := &GroupSession{e: e, start: start}
-	if err := gs.buildRoot(ctx); err != nil {
+	root, hit := e.unpark(start)
+	gs := &GroupSession{e: e, start: start, scratch: root.scratch}
+	if hit {
+		gs.u, gs.sim, gs.healthy = root.u, root.sim, true
+		return gs, nil
+	}
+	if err := gs.buildRoot(ctx, root.u); err != nil {
 		return nil, err
 	}
 	gs.healthy = true
 	return gs, nil
 }
 
-// buildRoot acquires a workspace, simulates the fault-free prefix to the
-// session's start time and snapshots it into the session's scratch —
-// establishing (or re-establishing, on heal) the trie root. On error the
-// session holds no workspace; reusable units are re-pooled, suspect ones
-// dropped.
-func (gs *GroupSession) buildRoot(ctx context.Context) (err error) {
+// parkedRoot is a closed session's checkpointed prefix: the workspace
+// (left wherever the session's last experiment stopped) and the scratch
+// holding the root snapshot taken at start. The rolling chain checkpoint
+// in scratch is stale and never read again: a new session starts with no
+// chain.
+type parkedRoot struct {
+	start   des.Time
+	u       *workUnit
+	sim     *scenario.Simulation
+	scratch *groupScratch
+}
+
+// unpark removes and returns the parked root at start (hit), or else the
+// oldest parked root, whose workspace and scratch the caller rebuilds for
+// its own start. The zero parkedRoot means nothing is parked.
+func (e *Engine) unpark(start des.Time) (root parkedRoot, hit bool) {
+	e.parkMu.Lock()
+	defer e.parkMu.Unlock()
+	if len(e.parked) == 0 {
+		return parkedRoot{}, false
+	}
+	i := slices.IndexFunc(e.parked, func(p parkedRoot) bool { return p.start == start })
+	hit = i >= 0
+	if !hit {
+		i = 0
+	}
+	root = e.parked[i]
+	e.parked = slices.Delete(e.parked, i, i+1)
+	return root, hit
+}
+
+// park keeps a clean root for reuse, returning the oldest parked root's
+// workspace and scratch to the pools once more than GOMAXPROCS are kept.
+func (e *Engine) park(root parkedRoot) {
+	e.parkMu.Lock()
+	e.parked = append(e.parked, root)
+	var evicted parkedRoot
+	if len(e.parked) > runtime.GOMAXPROCS(0) {
+		evicted = e.parked[0]
+		e.parked = slices.Delete(e.parked, 0, 1)
+	}
+	e.parkMu.Unlock()
+	if evicted.u != nil {
+		e.pool.Put(evicted.u)
+		e.groupPool.Put(evicted.scratch)
+	}
+}
+
+// buildRoot simulates the fault-free prefix to the session's start time
+// on u (a workspace checked out of the pool when nil) and snapshots it
+// into the session's scratch — establishing (or re-establishing, on
+// heal) the trie root. On error the session holds no workspace; reusable
+// units are re-pooled, suspect ones dropped.
+func (gs *GroupSession) buildRoot(ctx context.Context, u *workUnit) (err error) {
 	e := gs.e
-	u := e.acquireUnit()
+	if u == nil {
+		u = e.acquireUnit()
+	}
 	keep := false
 	// Same panic boundary as the fresh path: a panicking component during
 	// the prefix surfaces as *PanicError and the workspace is discarded.
@@ -220,7 +287,7 @@ func (gs *GroupSession) buildRoot(ctx context.Context) (err error) {
 func (gs *GroupSession) heal(ctx context.Context) error {
 	gs.u, gs.sim = nil, nil
 	gs.chainValid = false
-	if err := gs.buildRoot(ctx); err != nil {
+	if err := gs.buildRoot(ctx, nil); err != nil {
 		if ctx.Err() == nil {
 			gs.healthy = false
 		}
@@ -422,14 +489,13 @@ func buildModelSafe(spec ExperimentSpec, horizon des.Time, seed uint64) (model A
 	return spec.buildModel(horizon, seed)
 }
 
-// Close releases the session. A clean session returns its workspace and
-// checkpoint storage to the engine's pools; a tainted or poisoned one
-// discards both (their components may be arbitrarily corrupted), exactly
-// as the fresh path discards panicked workspaces.
+// Close releases the session. A clean session parks its root with the
+// engine for a later BeginGroup; a tainted or poisoned one discards its
+// workspace and checkpoint storage (their components may be arbitrarily
+// corrupted), exactly as the fresh path discards panicked workspaces.
 func (gs *GroupSession) Close() {
 	if gs.healthy && !gs.tainted {
-		gs.e.pool.Put(gs.u)
-		gs.e.groupPool.Put(gs.scratch)
+		gs.e.park(parkedRoot{start: gs.start, u: gs.u, sim: gs.sim, scratch: gs.scratch})
 	}
 	gs.healthy = false
 	gs.u = nil

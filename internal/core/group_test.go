@@ -9,6 +9,7 @@ import (
 
 	"comfase/internal/mac"
 	"comfase/internal/nic"
+	"comfase/internal/obs"
 	"comfase/internal/platoon"
 	"comfase/internal/scenario"
 	"comfase/internal/sim/des"
@@ -223,6 +224,88 @@ func TestGroupPanicTaintsAndHeals(t *testing.T) {
 	}
 	if !resultsEqual(got, want) {
 		t.Errorf("healed session diverged:\nfresh  %+v\nforked %+v", want, got)
+	}
+}
+
+// TestGroupParkedRootReuse pins session parking: a cleanly closed
+// session's root serves the next BeginGroup for the same start without a
+// second prefix, and the results stay bit-identical to fresh runs; a
+// tainted session is discarded on Close, so the next BeginGroup builds a
+// new prefix instead of reusing it.
+func TestGroupParkedRootReuse(t *testing.T) {
+	ctx := context.Background()
+	start := 19 * des.Second
+	specs := groupSpecs(start)
+	fresh := groupEngine(t, nil)
+	want := make([]ExperimentResult, len(specs))
+	for i, spec := range specs {
+		res, err := fresh.RunExperiment(spec)
+		if err != nil {
+			t.Fatalf("fresh %v: %v", spec, err)
+		}
+		want[i] = res
+	}
+
+	reg := obs.NewRegistry()
+	eng := groupEngine(t, func(cfg *EngineConfig) { cfg.Metrics = reg })
+	prefixes := reg.Counter("engine.checkpoint_prefixes")
+	// Two sessions split the group mid-chain, as two leases would.
+	for _, part := range [][2]int{{0, 4}, {4, len(specs)}} {
+		gs, err := eng.BeginGroup(ctx, start)
+		if err != nil {
+			t.Fatalf("BeginGroup: %v", err)
+		}
+		for i := part[0]; i < part[1]; i++ {
+			res, err := gs.RunExperimentChained(ctx, specs[i], i+1 < part[1])
+			if err != nil {
+				t.Fatalf("forked %v: %v", specs[i], err)
+			}
+			if !resultsEqual(res, want[i]) {
+				t.Errorf("experiment %d diverged:\nfresh  %+v\nforked %+v", specs[i].Nr, want[i], res)
+			}
+		}
+		gs.Close()
+	}
+	if got := prefixes.Load(); got != 1 {
+		t.Errorf("checkpoint_prefixes = %d after two sessions at one start, want 1", got)
+	}
+
+	// Taint the parked root's next session; Close must discard it.
+	boom := CampaignSetup{
+		Factory: func(ExperimentSpec, des.Time, uint64) (AttackModel, error) {
+			return panicOnInstallModel{}, nil
+		},
+		Targets:   []string{"vehicle.2"},
+		Values:    []float64{1},
+		Starts:    []des.Time{start},
+		Durations: []des.Time{2 * des.Second},
+	}
+	gs, err := eng.BeginGroup(ctx, start)
+	if err != nil {
+		t.Fatalf("BeginGroup: %v", err)
+	}
+	if got := prefixes.Load(); got != 1 {
+		t.Errorf("checkpoint_prefixes = %d after reusing the parked root, want 1", got)
+	}
+	var pe *PanicError
+	if _, err := gs.RunExperiment(ctx, boom.Experiments()[0]); !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want PanicError", err)
+	}
+	gs.Close()
+	gs, err = eng.BeginGroup(ctx, start)
+	if err != nil {
+		t.Fatalf("BeginGroup: %v", err)
+	}
+	defer gs.Close()
+	if got := prefixes.Load(); got != 2 {
+		t.Errorf("checkpoint_prefixes = %d after a tainted session closed, want 2 (a new prefix)", got)
+	}
+	res, err := gs.RunExperiment(ctx, specs[0])
+	if err != nil {
+		t.Fatalf("forked %v: %v", specs[0], err)
+	}
+	if !resultsEqual(res, want[0]) {
+		t.Errorf("experiment %d diverged after the tainted session:\nfresh  %+v\nforked %+v", specs[0].Nr, want[0], res)
 	}
 }
 

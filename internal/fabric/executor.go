@@ -25,8 +25,6 @@ type Executor interface {
 
 // ExecutorOptions tune the campaign executor beyond the config file.
 type ExecutorOptions struct {
-	// Workers overrides the config's local worker-pool size when > 0.
-	Workers int
 	// Metrics receives the runner/engine instrumentation.
 	Metrics *obs.Registry
 }
@@ -36,18 +34,24 @@ type ExecutorOptions struct {
 // (checkpoint forking, trie chaining, retries, watchdogs) and therefore
 // the byte-identical-output invariant. The Grid lives as long as the
 // executor, so every scenario engine is built and its golden run
-// simulated once per worker process, not once per lease.
+// simulated once per worker process, not once per lease, and a lease
+// that continues a same-start group picks up the group's parked prefix
+// checkpoint. Each Execute runs its lease on one runner slot; a worker
+// keeps its cores busy by executing several leases at once.
 type campaignExecutor struct {
 	grid *runner.Grid
 	base runner.Options
 }
 
 // NewExecutor builds the production executor from the raw config JSON a
-// coordinator serves at registration. The runner options come from the
-// config's runtime section, with three fabric-imposed changes: the
+// coordinator ships with a campaign's first lease. The runner options
+// come from the config's runtime section, with four fabric-imposed
+// changes: each lease runs on one runner slot (the worker, not the
+// config's runtime.workers, decides how many leases run at once), the
 // failure budget is unlimited (the coordinator owns the campaign-level
 // budget), the lease range replaces any shard, and result/quarantine
-// files are replaced by in-memory wire rows.
+// files are replaced by in-memory wire rows. Execute is safe for
+// concurrent calls.
 func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	parsed, err := config.Parse(bytes.NewReader(cfgJSON))
 	if err != nil {
@@ -57,12 +61,7 @@ func NewExecutor(cfgJSON []byte, opts ExecutorOptions) (Executor, error) {
 	base.MaxFailures = -1
 	base.Shard = runner.Shard{}
 	base.Metrics = opts.Metrics
-	if opts.Workers > 0 {
-		base.Workers = opts.Workers
-	}
-	if base.Workers == 0 {
-		base.Workers = -1 // all cores
-	}
+	base.Workers = 1
 	cells := parsed.Grid()
 	for i := range cells {
 		cells[i].Engine.Metrics = opts.Metrics

@@ -2,6 +2,9 @@ package fabric
 
 import (
 	"context"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"comfase/internal/obs"
@@ -32,7 +35,7 @@ func TestExecutorBuildsEachEngineOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			ex, err := NewExecutor([]byte(tc.config), ExecutorOptions{Workers: 1, Metrics: reg})
+			ex, err := NewExecutor([]byte(tc.config), ExecutorOptions{Metrics: reg})
 			if err != nil {
 				t.Fatalf("NewExecutor: %v", err)
 			}
@@ -55,5 +58,62 @@ func TestExecutorBuildsEachEngineOnce(t *testing.T) {
 				t.Errorf("engine.golden_runs = %d over %d leases, want %d", got, len(tc.leases), tc.golden)
 			}
 		})
+	}
+}
+
+// concurrentExecConfig spans several attack starts, so disjoint leases
+// run different same-start groups at once and later leases continue
+// groups whose prefix roots other leases parked.
+const concurrentExecConfig = `{
+  "scenario": {"totalSimTimeS": 6},
+  "campaign": {
+    "attack": "delay",
+    "valuesS": {"values": [0.3, 1.0]},
+    "startTimesS": {"values": [1, 2, 3]},
+    "durationsS": {"values": [1, 2, 3]}
+  }
+}`
+
+// TestExecutorConcurrentLeasesMatchSequential drives one production
+// executor the way a worker's lease loops do — concurrent Execute calls
+// over disjoint ranges, twice over — and requires the lines to be
+// byte-identical to a sequential Runner.Run. Run it under -race: the
+// calls share the grid's engines, golden runs and parked prefixes.
+func TestExecutorConcurrentLeasesMatchSequential(t *testing.T) {
+	wantCSV, _ := sequentialReferenceFor(t, concurrentExecConfig)
+	_, want, _ := strings.Cut(string(wantCSV), "\n") // drop the header
+	ex, err := NewExecutor([]byte(concurrentExecConfig), ExecutorOptions{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
+	}
+	leases := [][2]int{{0, 4}, {4, 7}, {7, 13}, {13, 16}, {16, 18}}
+	for round := 0; round < 2; round++ {
+		lines := make([]string, len(leases))
+		errs := make([]error, len(leases))
+		var wg sync.WaitGroup
+		for i, l := range leases {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rows, fails, err := ex.Execute(context.Background(), l[0], l[1])
+				if err == nil && len(fails) > 0 {
+					err = fmt.Errorf("%d quarantined", len(fails))
+				}
+				var b strings.Builder
+				for _, r := range rows {
+					b.WriteString(r.Line)
+				}
+				lines[i], errs[i] = b.String(), err
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: Execute%v: %v", round, leases[i], err)
+			}
+		}
+		if got := strings.Join(lines, ""); got != want {
+			t.Errorf("round %d: concurrent leases differ from the sequential run:\n%s\nwant:\n%s", round, got, want)
+		}
 	}
 }

@@ -96,10 +96,19 @@ type workerInfo struct {
 	host     string
 	pid      int
 	lastSeen time.Time
+	// retry is the RetryMS the worker was last given: it promised to poll
+	// again within that long of lastSeen.
+	retry time.Duration
 	// notifiedEnd: this worker has been told the run is over (a Done
 	// lease/complete response or a Draining lease response), so it will
 	// not poll again. Linger waits for every live worker to reach it.
 	notifiedEnd bool
+}
+
+// live reports whether the worker may still call: it is live until one
+// lease TTL past the poll it promised.
+func (w *workerInfo) live(now time.Time, ttl time.Duration) bool {
+	return now.Before(w.lastSeen.Add(w.retry + ttl))
 }
 
 // serviceCampaign is one campaign's full server-side state. The lease
@@ -810,11 +819,11 @@ func (s *Service) sweepInterval() time.Duration {
 
 // updateLiveness refreshes the workers-live gauge.
 func (s *Service) updateLiveness() {
-	cutoff := s.now().Add(-s.opts.LeaseTTL)
+	now := s.now()
 	s.mu.Lock()
 	live := int64(0)
 	for _, w := range s.workers {
-		if w.lastSeen.After(cutoff) {
+		if w.live(now, s.opts.LeaseTTL) {
 			live++
 		}
 	}
@@ -831,38 +840,48 @@ func (s *Service) touchWorker(id string) {
 	s.mu.Unlock()
 }
 
-// markNotified records that a worker has been handed an end-of-run
-// response and will not call back.
-func (s *Service) markNotified(id string) {
+// writeEnd answers a worker with an end-of-run response and only then
+// records that it was told: Linger may return, and the server close, as
+// soon as the record is set, so the response must be on the wire first.
+func (s *Service) writeEnd(w http.ResponseWriter, workerID string, v any) {
+	writeJSON(w, v)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
 	s.mu.Lock()
-	if w, ok := s.workers[id]; ok {
-		w.notifiedEnd = true
+	if wi, ok := s.workers[workerID]; ok {
+		wi.notifiedEnd = true
 	}
 	s.mu.Unlock()
 }
 
-// Linger blocks until every live worker has received an end-of-run
-// response, or one lease TTL elapses — whichever comes first. Call after
-// Wait, before tearing down the HTTP server.
+// Linger blocks until every live registered worker has been told the run
+// is over, so a clean finish never looks like a dead coordinator on a
+// worker's side. Call after Wait, before tearing down the HTTP server.
+// Liveness follows each worker's own promise (see workerInfo.live), not a
+// fixed bound: a worker told to poll again in RetryMS is waited for until
+// one TTL past that poll, and a worker that stops calling stops counting
+// after it.
 func (s *Service) Linger() {
-	deadline := time.Now().Add(s.opts.LeaseTTL)
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
-	for time.Now().Before(deadline) {
-		cutoff := s.now().Add(-s.opts.LeaseTTL)
-		pending := 0
-		s.mu.Lock()
-		for _, w := range s.workers {
-			if !w.notifiedEnd && w.lastSeen.After(cutoff) {
-				pending++
-			}
-		}
-		s.mu.Unlock()
-		if pending == 0 {
-			return
-		}
+	for s.unnotifiedLive() > 0 {
 		<-ticker.C
 	}
+}
+
+// unnotifiedLive counts the live workers not yet told the run is over.
+func (s *Service) unnotifiedLive() int {
+	now := s.now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pending := 0
+	for _, w := range s.workers {
+		if !w.notifiedEnd && w.live(now, s.opts.LeaseTTL) {
+			pending++
+		}
+	}
+	return pending
 }
 
 // ---- worker data-plane handlers ------------------------------------
@@ -946,13 +965,17 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.logf("leased %s chunk %d [%d,%d) gen %d to %s", c.id, lease.Chunk, lease.From, lease.To, lease.Gen, req.WorkerID)
 		writeJSON(w, resp)
 	case AcquireDone:
-		s.markNotified(req.WorkerID)
-		writeJSON(w, LeaseResponse{Done: true})
+		s.writeEnd(w, req.WorkerID, LeaseResponse{Done: true})
 	case AcquireDraining:
-		s.markNotified(req.WorkerID)
-		writeJSON(w, LeaseResponse{Draining: true})
+		s.writeEnd(w, req.WorkerID, LeaseResponse{Draining: true})
 	default: // AcquireEmpty: leases may expire, campaigns may arrive.
-		writeJSON(w, LeaseResponse{RetryMS: (s.opts.LeaseTTL / 2).Milliseconds()})
+		retry := s.opts.LeaseTTL / 2
+		s.mu.Lock()
+		if wi, ok := s.workers[req.WorkerID]; ok {
+			wi.retry = retry
+		}
+		s.mu.Unlock()
+		writeJSON(w, LeaseResponse{RetryMS: retry.Milliseconds()})
 	}
 }
 
@@ -1044,7 +1067,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// reject the late completion idempotently — same contract as a
 		// superseded generation.
 		s.logf("rejected completion of cancelled %s chunk %d from %s", c.id, req.Chunk, req.WorkerID)
-		writeJSON(w, CompleteResponse{OK: false, Stale: true, Done: s.finishedDone()})
+		s.writeComplete(w, req.WorkerID, CompleteResponse{OK: false, Stale: true})
 		return
 	}
 
@@ -1071,11 +1094,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// Late completion from a presumed-dead worker: the range was (or
 		// will be) re-executed elsewhere. Discard idempotently.
 		s.logf("rejected stale completion of %s chunk %d gen %d from %s", c.id, req.Chunk, req.Gen, req.WorkerID)
-		done := s.finishedDone()
-		if done {
-			s.markNotified(req.WorkerID)
-		}
-		writeJSON(w, CompleteResponse{OK: false, Stale: true, Done: done})
+		s.writeComplete(w, req.WorkerID, CompleteResponse{OK: false, Stale: true})
 		return
 	}
 
@@ -1094,11 +1113,7 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, werr.Error(), http.StatusInternalServerError)
 		return
 	}
-	done := s.finishedDone()
-	if done {
-		s.markNotified(req.WorkerID)
-	}
-	writeJSON(w, CompleteResponse{OK: true, Done: done})
+	s.writeComplete(w, req.WorkerID, CompleteResponse{OK: true})
 	if overBudget {
 		// The triggering records are already merged and durable; stop
 		// granting this campaign's work and surface the budget error,
@@ -1116,6 +1131,17 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeComplete answers a completion, telling the worker the run is over
+// when it is.
+func (s *Service) writeComplete(w http.ResponseWriter, workerID string, resp CompleteResponse) {
+	resp.Done = s.finishedDone()
+	if resp.Done {
+		s.writeEnd(w, workerID, resp)
+		return
+	}
+	writeJSON(w, resp)
+}
+
 // finishedDone reports whether the whole service is finishing: every
 // campaign terminal AND the run configured to end then. Otherwise the
 // service keeps running (new submissions may arrive), so workers are
@@ -1125,7 +1151,7 @@ func (s *Service) finishedDone() bool {
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	cutoff := s.now().Add(-s.opts.LeaseTTL)
+	now := s.now()
 	s.mu.Lock()
 	st := StatusResponse{Version: ProtocolVersion, Draining: s.draining}
 	for _, id := range s.order {
@@ -1146,7 +1172,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 		st.Workers = append(st.Workers, WorkerStatus{
 			ID: id, Host: wi.host, PID: wi.pid,
 			LastSeenUnix: wi.lastSeen.Unix(),
-			Live:         wi.lastSeen.After(cutoff),
+			Live:         wi.live(now, s.opts.LeaseTTL),
 		})
 	}
 	s.mu.Unlock()

@@ -1,12 +1,15 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -526,5 +529,89 @@ func TestRunnerFilesHelpers(t *testing.T) {
 	_, err = runner.ReadMergedPrefix(bad.Results, bad.Quarantine, 0, 10)
 	if err == nil || !strings.Contains(err.Error(), bad.Results) || !strings.Contains(err.Error(), "contiguous") {
 		t.Errorf("gapped prefix error = %v, want it to name %s", err, bad.Results)
+	}
+}
+
+// gatedTransport holds a worker's second lease request until gate
+// closes, signalling late when the request reaches it: a worker that was
+// told to poll again and then stalled past any fixed bound.
+type gatedTransport struct {
+	base  http.RoundTripper
+	polls atomic.Int32
+	late  chan struct{}
+	gate  chan struct{}
+}
+
+func (g *gatedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == PathLease && g.polls.Add(1) == 2 {
+		close(g.late)
+		<-g.gate
+	}
+	return g.base.RoundTrip(r)
+}
+
+// TestLingerWaitsForPromisedPoll pins the end of a run as a handshake:
+// an idle worker was promised a poll interval, stalls, and polls only
+// after the grid is merged and three lease TTLs of real time have passed.
+// On the service's (fake) clock the poll is still within its promise, so
+// Linger must keep the socket up until the worker hears Done, and the
+// worker must exit cleanly rather than find a dead coordinator.
+func TestLingerWaitsForPromisedPoll(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	clock := newFakeClock()
+	svc, _ := newTestCoordinator(t, ServiceOptions{LeaseSize: 4, LeaseTTL: ttl, Now: clock.Now}, gridConfig(4, false))
+	h := svc.Handler()
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	// A protocol-level worker holds the only lease, so the real worker
+	// is told to poll again later.
+	a := register(t, h)
+	resp := leaseFull(t, h, a)
+
+	base := http.DefaultTransport.(*http.Transport).Clone()
+	defer base.CloseIdleConnections()
+	gt := &gatedTransport{base: base, late: make(chan struct{}), gate: make(chan struct{})}
+	late, err := NewWorker(WorkerOptions{
+		Coordinator: srv.URL,
+		Client:      &http.Client{Transport: gt, Timeout: 10 * time.Second},
+		Workers:     1,
+		MaxRetries:  2,
+		RetryBase:   time.Millisecond,
+		Seed:        1,
+		NewExecutor: func([]byte) (Executor, error) { return nil, errors.New("the late worker never executes") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateErr := make(chan error, 1)
+	go func() { lateErr <- late.Run(context.Background()) }()
+	select {
+	case <-gt.late:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never polled a second time")
+	}
+
+	if got := completeLease(t, h, a, resp.Campaign, Lease{Chunk: resp.Chunk, From: resp.From, To: resp.To, Gen: resp.Gen}); !got.Done {
+		t.Fatalf("completing the grid = %+v, want done", got)
+	}
+	if err := waitDone(t, svc); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	lingered := make(chan struct{})
+	go func() {
+		svc.Linger()
+		close(lingered)
+	}()
+	stall := time.AfterFunc(3*ttl, func() { close(gt.gate) })
+	defer stall.Stop()
+	select {
+	case <-lingered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Linger never returned")
+	}
+	srv.Close() // what `comfase serve` does once Linger returns
+	if err := <-lateErr; err != nil {
+		t.Fatalf("late worker: %v, want a clean exit", err)
 	}
 }

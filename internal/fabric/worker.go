@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -26,10 +27,14 @@ var ErrCoordinatorUnreachable = errors.New("fabric: coordinator unreachable")
 // abandons the range and asks for a new lease.
 var errLeaseLost = errors.New("fabric: lease lost")
 
-// errGridDone is the internal signal that this worker's completion
-// finished the grid: the coordinator is about to shut down, so the
-// worker must exit without polling for another lease.
+// errGridDone is the internal signal that the run is over: a lease or
+// completion answered Done, so the coordinator is about to shut down and
+// every lease loop must exit without polling again.
 var errGridDone = errors.New("fabric: grid complete")
+
+// errDraining is the internal signal that the coordinator is draining:
+// no loop asks for another lease.
+var errDraining = errors.New("fabric: coordinator draining")
 
 // WorkerOptions configure a fabric worker.
 type WorkerOptions struct {
@@ -37,7 +42,8 @@ type WorkerOptions struct {
 	Coordinator string
 	// Client is the HTTP client; nil uses a default with sane timeouts.
 	Client *http.Client
-	// Workers overrides the config-provided local pool size when > 0.
+	// Workers is the number of leases the worker executes at once, each
+	// on one core; <= 0 selects GOMAXPROCS.
 	Workers int
 	// MaxRetries bounds consecutive failed attempts per coordinator call
 	// (the -max-coordinator-retries budget). <= 0 uses the default.
@@ -67,16 +73,18 @@ const (
 	DefaultRetryMax   = 10 * time.Second
 )
 
-// Worker is a fabric worker process: it registers with a coordinator,
-// then loops lease → execute → complete until the run is done or the
-// coordinator drains. Leases are namespaced by campaign; each campaign's
-// config arrives with its first lease grant (the worker advertises the
-// campaigns it already knows, and caches one executor per campaign), so
-// one worker serves many queued grids without restarting. A renew
-// goroutine reports to the coordinator every TTL/3; if the coordinator
-// answers Cancel — the lease expired and moved on, or the campaign was
-// cancelled — the in-flight execution is aborted via context
-// cancellation and the worker asks for fresh work.
+// Worker is a fabric worker process: it registers with a coordinator
+// once, then runs Workers lease loops at once, each looping lease →
+// execute → complete until the run is done or the coordinator drains.
+// Leases are namespaced by campaign; each campaign's config arrives with
+// its first lease grant (the worker advertises the campaigns it already
+// knows), and all loops share one executor per campaign, so one worker
+// serves many queued grids without restarting and keeps each campaign's
+// engines, golden runs and parked prefix checkpoints for every lease. A
+// renew goroutine reports each lease to the coordinator every TTL/3; if
+// the coordinator answers Cancel — the lease expired and moved on, or the
+// campaign was cancelled — that execution is aborted via context
+// cancellation and its loop asks for fresh work.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -84,11 +92,14 @@ type Worker struct {
 
 	id  string
 	ttl time.Duration
-	// execs caches one executor per campaign; known is its key list in
-	// first-seen order, advertised on every lease request so the
-	// coordinator ships a campaign's config exactly once per worker.
-	execs map[string]Executor
-	known []string
+	// execs holds one executor per campaign, shared by every loop; known
+	// is the list of campaigns whose executor is ready, in first-seen
+	// order, advertised on every lease request so the coordinator ships a
+	// campaign's config only until the worker holds its executor. execMu
+	// guards both.
+	execMu sync.Mutex
+	execs  map[string]*campaignExec
+	known  []string
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -143,10 +154,59 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}, nil
 }
 
-// Run registers, executes leases until the campaign finishes (or the
-// coordinator drains), and returns nil on a clean finish. A cancelled
-// ctx aborts mid-lease and returns the context error; a coordinator
-// unreachable past the retry budget returns ErrCoordinatorUnreachable.
+// campaignExec is one campaign's executor. The first loop to receive the
+// campaign's config builds it and closes ready; loops granted a lease for
+// the campaign meanwhile wait for that build instead of starting another.
+type campaignExec struct {
+	ready chan struct{}
+	exec  Executor
+	err   error
+}
+
+// leaseLoops is the state one Run shares between its lease loops.
+type leaseLoops struct {
+	parent context.Context
+	// ctx ends every loop at once, in-flight leases included: it is
+	// cancelled when the run is over (Done), on the first loop error, and
+	// with parent.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// stop is closed on Draining: loops finish the lease they hold, then
+	// exit without asking for another.
+	stop     chan struct{}
+	stopOnce sync.Once
+
+	mu   sync.Mutex
+	over bool  // Done or a loop error ended the run; later loop errors are induced
+	err  error // the first loop error that was not induced
+}
+
+// end records how one loop finished and ends its siblings accordingly.
+func (l *leaseLoops) end(err error) {
+	switch {
+	case err == nil:
+	case errors.Is(err, errDraining):
+		l.stopOnce.Do(func() { close(l.stop) })
+	default:
+		l.mu.Lock()
+		if !l.over && !errors.Is(err, errGridDone) && l.parent.Err() == nil {
+			l.err = err
+		}
+		l.over = true
+		l.mu.Unlock()
+		l.cancel()
+	}
+}
+
+// Run registers, executes leases on Workers concurrent loops until the
+// campaign finishes (or the coordinator drains), and returns nil on a
+// clean finish. A Done answer on any loop ends every loop at once; a
+// Draining answer lets loops finish the leases they hold, then ends
+// them. The first loop error cancels the other loops and is returned;
+// the errors that cancellation induces in the siblings are not. A
+// cancelled ctx aborts mid-lease and returns the context error; a
+// coordinator unreachable past the retry budget returns
+// ErrCoordinatorUnreachable.
 func (w *Worker) Run(ctx context.Context) error {
 	host, _ := os.Hostname()
 	var reg RegisterResponse
@@ -161,88 +221,149 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.id = reg.WorkerID
 	w.ttl = time.Duration(reg.LeaseTTLMS) * time.Millisecond
-	w.execs = make(map[string]Executor)
-	w.logf("registered as %s: lease TTL %v", w.id, w.ttl)
+	w.execs = make(map[string]*campaignExec)
+	n := w.opts.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	w.logf("registered as %s: lease TTL %v, %d concurrent lease(s)", w.id, w.ttl, n)
 
+	l := &leaseLoops{parent: ctx, stop: make(chan struct{})}
+	l.ctx, l.cancel = context.WithCancel(ctx)
+	defer l.cancel()
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.end(w.leaseLoop(l))
+		}()
+	}
+	wg.Wait()
+	if l.err != nil {
+		return l.err
+	}
+	return ctx.Err()
+}
+
+// leaseLoop is one lease loop: lease → execute → complete until the run
+// ends. It returns errGridDone or errDraining when the coordinator says
+// so, nil when a sibling's Draining stops it, and any other error as is.
+func (w *Worker) leaseLoop(l *leaseLoops) error {
 	for {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-l.stop:
+			return nil
+		default:
+		}
+		if err := l.ctx.Err(); err != nil {
 			return err
 		}
 		var lr LeaseResponse
-		if err := w.post(ctx, PathLease, LeaseRequest{WorkerID: w.id, Known: w.known}, &lr); err != nil {
+		if err := w.post(l.ctx, PathLease, LeaseRequest{WorkerID: w.id, Known: w.knownCampaigns()}, &lr); err != nil {
 			return err
 		}
 		switch {
 		case lr.Done:
 			w.logf("run complete; exiting")
-			return nil
+			return errGridDone
 		case lr.Draining:
 			w.logf("coordinator draining; exiting")
-			return nil
+			return errDraining
 		case !lr.Granted:
 			// Nothing pending right now; outstanding leases may expire
-			// and new campaigns may be submitted.
+			// and new campaigns may be submitted. A sibling's Done or
+			// Draining cuts the wait short.
 			wait := time.Duration(lr.RetryMS) * time.Millisecond
 			if wait <= 0 {
 				wait = w.ttl / 2
 			}
-			if err := sleepCtx(ctx, wait); err != nil {
-				return err
+			timer := time.NewTimer(wait)
+			select {
+			case <-l.ctx.Done():
+				timer.Stop()
+				return l.ctx.Err()
+			case <-l.stop:
+				timer.Stop()
+				return nil
+			case <-timer.C:
 			}
 			continue
 		}
-		exec, err := w.executorFor(lr.Campaign, lr.Config)
+		exec, err := w.executorFor(l.ctx, lr.Campaign, lr.Config)
 		if err != nil {
 			return err
 		}
 		lease := Lease{Chunk: lr.Chunk, From: lr.From, To: lr.To, Gen: lr.Gen}
 		w.leases.Inc()
 		w.logf("lease %s/%d gen %d: range [%d,%d)", lr.Campaign, lease.Chunk, lease.Gen, lease.From, lease.To)
-		if err := w.runLease(ctx, lr.Campaign, lease, exec); err != nil {
-			switch {
-			case errors.Is(err, errLeaseLost):
+		if err := w.runLease(l.ctx, lr.Campaign, lease, exec); err != nil {
+			if errors.Is(err, errLeaseLost) {
 				w.cancels.Inc()
 				w.logf("lease %s/%d gen %d lost; asking for new work", lr.Campaign, lease.Chunk, lease.Gen)
 				continue
-			case errors.Is(err, errGridDone):
+			}
+			if errors.Is(err, errGridDone) {
 				// Our completion finished the run: the coordinator is
 				// shutting down, so don't poll it for another lease.
 				w.logf("run complete; exiting")
-				return nil
 			}
 			return err
 		}
 	}
 }
 
-// executorFor resolves the campaign's executor: cached from an earlier
-// lease, or built from the config shipped with this grant (the
-// coordinator sends it exactly when the campaign is absent from the
-// request's Known list).
-func (w *Worker) executorFor(campaign string, cfg json.RawMessage) (Executor, error) {
+// knownCampaigns is the Known list of a lease request.
+func (w *Worker) knownCampaigns() []string {
+	w.execMu.Lock()
+	defer w.execMu.Unlock()
+	return w.known[:len(w.known):len(w.known)]
+}
+
+// executorFor resolves the campaign's executor: built by an earlier lease
+// (or being built by a sibling loop, which it waits for), or built from
+// the config shipped with this grant (the coordinator sends it whenever
+// the campaign is absent from the request's Known list).
+func (w *Worker) executorFor(ctx context.Context, campaign string, cfg json.RawMessage) (Executor, error) {
 	if campaign == "" {
 		return nil, fmt.Errorf("%w: lease grant names no campaign", ErrProtocol)
 	}
-	if exec, ok := w.execs[campaign]; ok {
-		return exec, nil
+	w.execMu.Lock()
+	ce, ok := w.execs[campaign]
+	if !ok {
+		if len(cfg) == 0 {
+			w.execMu.Unlock()
+			return nil, fmt.Errorf("%w: lease grant for unknown campaign %s carries no config", ErrProtocol, campaign)
+		}
+		ce = &campaignExec{ready: make(chan struct{})}
+		w.execs[campaign] = ce
 	}
-	if len(cfg) == 0 {
-		return nil, fmt.Errorf("%w: lease grant for unknown campaign %s carries no config", ErrProtocol, campaign)
+	w.execMu.Unlock()
+	if ok {
+		select {
+		case <-ce.ready:
+			return ce.exec, ce.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	newExec := w.opts.NewExecutor
 	if newExec == nil {
 		newExec = func(cfgJSON []byte) (Executor, error) {
-			return NewExecutor(cfgJSON, ExecutorOptions{Workers: w.opts.Workers, Metrics: w.opts.Metrics})
+			return NewExecutor(cfgJSON, ExecutorOptions{Metrics: w.opts.Metrics})
 		}
 	}
-	exec, err := newExec(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: campaign %s config: %w", campaign, err)
+	ce.exec, ce.err = newExec(cfg)
+	if ce.err != nil {
+		ce.err = fmt.Errorf("fabric: campaign %s config: %w", campaign, ce.err)
+	} else {
+		w.execMu.Lock()
+		w.known = append(w.known, campaign)
+		w.execMu.Unlock()
+		w.logf("campaign %s config received; executor ready", campaign)
 	}
-	w.execs[campaign] = exec
-	w.known = append(w.known, campaign)
-	w.logf("campaign %s config received; executor ready", campaign)
-	return exec, nil
+	close(ce.ready)
+	return ce.exec, ce.err
 }
 
 // runLease executes one leased range with a TTL/3 renew loop alongside.

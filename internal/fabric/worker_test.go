@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,5 +137,205 @@ func TestWorkerRunRejectsVersionSkew(t *testing.T) {
 	err = w.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "protocol v99") {
 		t.Fatalf("version skew not rejected: %v", err)
+	}
+}
+
+// fakeLeaseExecutor answers every lease with schema-valid rows after
+// step decides how the execution goes; it closes full once slots Execute
+// calls run at once.
+type fakeLeaseExecutor struct {
+	slots    int32
+	full     chan struct{}
+	inFlight atomic.Int32
+	calls    atomic.Int32
+	step     func(ctx context.Context, call int32) error
+}
+
+func newFakeLeaseExecutor(slots int32) *fakeLeaseExecutor {
+	return &fakeLeaseExecutor{slots: slots, full: make(chan struct{})}
+}
+
+func (e *fakeLeaseExecutor) Execute(ctx context.Context, from, to int) ([]ResultRow, []FailureRow, error) {
+	if e.inFlight.Add(1) == e.slots {
+		close(e.full)
+	}
+	defer e.inFlight.Add(-1)
+	if err := e.step(ctx, e.calls.Add(1)); err != nil {
+		return nil, nil, err
+	}
+	return testRows(from, to, ""), nil, nil
+}
+
+// waitFull blocks until every slot holds an Execute call, or fails after
+// a deadline: a worker that ran its leases one at a time never gets
+// there.
+func (e *fakeLeaseExecutor) waitFull() error {
+	select {
+	case <-e.full:
+		return nil
+	case <-time.After(10 * time.Second):
+		return errors.New("concurrent leases never reached the worker's slot count")
+	}
+}
+
+// runFakeWorker runs one worker with the fake executor against a
+// coordinator serving a gridConfig campaign, and returns Run's error.
+func runFakeWorker(t *testing.T, opts ServiceOptions, points, workers int, ex *fakeLeaseExecutor, wrap func(http.Handler) http.Handler) error {
+	t.Helper()
+	svc, _ := newTestCoordinator(t, opts, gridConfig(points, false))
+	h := svc.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	w, err := NewWorker(WorkerOptions{
+		Coordinator: srv.URL,
+		Workers:     workers,
+		Seed:        1,
+		NewExecutor: func([]byte) (Executor, error) { return ex, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	return w.Run(ctx)
+}
+
+// TestWorkerRunsWorkersLeasesAtOnce: one worker process executes as many
+// leases at once as it has slots, all through the one executor it built
+// for the campaign, and finishes the grid cleanly.
+func TestWorkerRunsWorkersLeasesAtOnce(t *testing.T) {
+	ex := newFakeLeaseExecutor(3)
+	ex.step = func(ctx context.Context, call int32) error {
+		if call <= 3 {
+			return ex.waitFull()
+		}
+		return nil
+	}
+	built := 0
+	var mu sync.Mutex
+	newExec := func([]byte) (Executor, error) {
+		mu.Lock()
+		built++
+		mu.Unlock()
+		return ex, nil
+	}
+	svc, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 1, LeaseTTL: 10 * time.Second}, gridConfig(8, false))
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Workers: 3, Seed: 1, NewExecutor: newExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if built != 1 {
+		t.Errorf("executor built %d times for one campaign, want 1", built)
+	}
+	if got, want := readFile(t, files.Results), legacyHeader+testCSV(0, 8, ""); got != want {
+		t.Errorf("merged results:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWorkerLoopErrorCancelsSiblings: the first loop error ends the run —
+// the sibling loops' in-flight leases are cancelled, and Run returns that
+// error, not the cancellations it induced.
+func TestWorkerLoopErrorCancelsSiblings(t *testing.T) {
+	boom := errors.New("injected lease failure")
+	var cancelled atomic.Int32
+	ex := newFakeLeaseExecutor(3)
+	ex.step = func(ctx context.Context, call int32) error {
+		if err := ex.waitFull(); err != nil {
+			return err
+		}
+		if call == 1 {
+			return boom
+		}
+		<-ctx.Done()
+		cancelled.Add(1)
+		return ctx.Err()
+	}
+	err := runFakeWorker(t, ServiceOptions{LeaseSize: 1, LeaseTTL: 10 * time.Second}, 8, 3, ex, nil)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the injected lease failure", err)
+	}
+	if got := cancelled.Load(); got != 2 {
+		t.Errorf("%d sibling leases saw their context cancelled, want 2", got)
+	}
+}
+
+// TestWorkerDoneWakesSleepingLoops: a loop told to poll again much later
+// must not hold the worker past the end of the run — the Done that
+// another loop's completion receives ends it at once.
+func TestWorkerDoneWakesSleepingLoops(t *testing.T) {
+	const ttl = 20 * time.Second // idle loops are told to wait ttl/2
+	var empties atomic.Int32
+	countEmpty := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			if r.URL.Path == PathLease {
+				empties.Add(1)
+			}
+		})
+	}
+	ex := newFakeLeaseExecutor(1)
+	ex.step = func(ctx context.Context, _ int32) error {
+		// Hold the only lease until the sibling loop has been answered
+		// (it found nothing to lease and went to sleep).
+		for empties.Load() < 2 {
+			if err := sleepCtx(ctx, time.Millisecond); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	start := time.Now()
+	if err := runFakeWorker(t, ServiceOptions{LeaseSize: 4, LeaseTTL: ttl}, 4, 2, ex, countEmpty); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if took := time.Since(start); took >= ttl/4 {
+		t.Errorf("Run took %v after Done, want well under the sibling's %v sleep", took, ttl/2)
+	}
+}
+
+// TestWorkerDrainFinishesHeldLeases: a draining coordinator still merges
+// leases it already granted, so a Draining answer on one loop stops the
+// worker asking for more work but lets its other loops complete the
+// leases they hold.
+func TestWorkerDrainFinishesHeldLeases(t *testing.T) {
+	svc, files := newTestCoordinator(t, ServiceOptions{LeaseSize: 2, LeaseTTL: 10 * time.Second}, gridConfig(8, false))
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	drained := make(chan struct{})
+	ex := newFakeLeaseExecutor(2)
+	ex.step = func(ctx context.Context, call int32) error {
+		if err := ex.waitFull(); err != nil {
+			return err
+		}
+		if call == 1 {
+			svc.Drain()
+			close(drained)
+		}
+		<-drained
+		return nil
+	}
+	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Workers: 2, Seed: 1, NewExecutor: func([]byte) (Executor, error) { return ex, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := merged(t, svc); got != 4 {
+		t.Errorf("merged %d grid points, want the 4 of the two leases held when the drain began", got)
+	}
+	if !svc.idle() {
+		t.Error("a lease is still outstanding after the worker exited")
+	}
+	if got, want := readFile(t, files.Results), legacyHeader+testCSV(0, 4, ""); got != want {
+		t.Errorf("merged results:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"comfase/internal/classify"
 	"comfase/internal/core"
@@ -55,14 +56,17 @@ func (r *GridResult) Experiments() []core.ExperimentResult {
 // every config — a single campaign is a one-cell grid — and it keeps
 // one engine per scenario label for its lifetime, so each engine is
 // built and its golden run simulated once no matter how many times Run
-// is called (a fabric worker runs every lease through one Grid). A Grid
-// is not safe for concurrent use.
+// is called (a fabric worker runs every lease through one Grid). Run is
+// safe for concurrent calls over disjoint ranges with separate sinks: a
+// fabric worker runs one lease per slot at once, all on the same engines.
 type Grid struct {
-	cells   []MatrixCell
-	base    int
-	size    int
-	matrix  bool
-	engines map[string]*core.Engine // by scenario label
+	cells  []MatrixCell
+	base   int
+	size   int
+	matrix bool
+
+	mu      sync.Mutex
+	engines map[string]*core.Engine // by scenario label, golden run primed
 }
 
 // NewGrid validates the cells: each setup must be valid and the global
@@ -134,7 +138,7 @@ func (g *Grid) Run(ctx context.Context, opts Options, sinks ...Sink) (*GridResul
 	remainingFailures := opts.MaxFailures
 	doneOffset := 0
 	for i, cell := range g.cells {
-		eng, err := g.engine(cell)
+		eng, err := g.engine(ctx, cell)
 		if err != nil {
 			return nil, g.cellErr(i, err)
 		}
@@ -177,15 +181,23 @@ func (g *Grid) Run(ctx context.Context, opts Options, sinks ...Sink) (*GridResul
 	return out, nil
 }
 
-// engine returns the cell's scenario engine, building it on first use.
-func (g *Grid) engine(cell MatrixCell) (*core.Engine, error) {
-	if eng, ok := g.engines[cell.Scenario]; ok {
-		return eng, nil
+// engine returns the cell's scenario engine, building it on first use
+// and priming its golden run under the lock, so concurrent first runs
+// simulate it exactly once and later readers of the cached log see it
+// complete.
+func (g *Grid) engine(ctx context.Context, cell MatrixCell) (*core.Engine, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	eng, ok := g.engines[cell.Scenario]
+	if !ok {
+		var err error
+		if eng, err = core.NewEngine(cell.Engine); err != nil {
+			return nil, err
+		}
+		g.engines[cell.Scenario] = eng
 	}
-	eng, err := core.NewEngine(cell.Engine)
-	if err != nil {
+	if err := eng.EnsureGolden(ctx); err != nil {
 		return nil, err
 	}
-	g.engines[cell.Scenario] = eng
 	return eng, nil
 }

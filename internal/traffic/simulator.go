@@ -46,6 +46,10 @@ type Simulator struct {
 	spare []*vehicle.Vehicle
 	// laneScratch is the retained sort buffer of detectCollisions.
 	laneScratch []*vehicle.Vehicle
+	// pairKey is detectCollisions' retained key buffer: an overlapping
+	// pair is looked up without allocating, and only a new pair's key is
+	// copied into a string.
+	pairKey []byte
 
 	// inv enables the runtime invariant checks (internal/invariant) on
 	// every step; prevPos is the retained pre-step position buffer the
@@ -340,11 +344,11 @@ func (s *Simulator) detectCollisions(now des.Time) {
 		if rear.State.Pos < front.State.Rear(front.Spec.Length) {
 			continue // gap open
 		}
-		pair := rear.Spec.ID + "|" + front.Spec.ID
-		if s.collided[pair] {
+		s.pairKey = append(append(append(s.pairKey[:0], rear.Spec.ID...), '|'), front.Spec.ID...)
+		if s.collided[string(s.pairKey)] {
 			continue
 		}
-		s.collided[pair] = true
+		s.collided[string(s.pairKey)] = true
 		c := Collision{
 			Time:     now,
 			Collider: rear.Spec.ID,

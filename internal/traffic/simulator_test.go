@@ -166,6 +166,29 @@ func TestCollisionReportedOncePerPair(t *testing.T) {
 	}
 }
 
+// TestPostCollisionStepAllocatesNothing pins the steady state of a
+// colliding experiment: once a pair is recorded, every later step still
+// finds it overlapping and looks it up, which must not allocate (the
+// pair key is built in a retained buffer, not concatenated per step).
+func TestPostCollisionStepAllocatesNothing(t *testing.T) {
+	k, sim := newTestSim(t)
+	_, _ = sim.AddVehicle(idealCar("front"), vehicle.State{Pos: 20, Speed: 0})
+	_, _ = sim.AddVehicle(idealCar("rear"), vehicle.State{Pos: 10, Speed: 15})
+	_ = sim.Start()
+	if err := k.RunUntil(5 * des.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if n := len(sim.Collisions()); n != 1 {
+		t.Fatalf("collisions = %d, want 1 before measuring", n)
+	}
+	if allocs := testing.AllocsPerRun(100, sim.step); allocs != 0 {
+		t.Errorf("post-collision step allocates %v times, want 0", allocs)
+	}
+	if n := len(sim.Collisions()); n != 1 {
+		t.Errorf("collisions = %d after the measured steps, want 1", n)
+	}
+}
+
 func TestChainCollisionAttribution(t *testing.T) {
 	k, sim := newTestSim(t)
 	// Three-vehicle chain: middle rams front, then tail rams the wreck.
